@@ -107,9 +107,8 @@ class TestFunction:
             return out
         if self.kind == "trigonometric":
             out = np.full(pts.shape[0], float(self.params.get("const", 0.0)))
-            for a, b, k in self.params["terms"]:
-                phase = math.pi * (pts @ np.asarray(k, dtype=float))
-                out += a * np.cos(phase) + b * np.sin(phase)
+            for a, b, _, cos, sin in self._trig_terms(pts):
+                out += a * cos + b * sin
             return out
         if self.kind == "radial":
             t = (pts**2).sum(axis=1)
@@ -133,10 +132,8 @@ class TestFunction:
             return out
         if self.kind == "trigonometric":
             out = np.zeros_like(pts)
-            for a, b, k in self.params["terms"]:
-                k = np.asarray(k, dtype=float)
-                phase = math.pi * (pts @ k)
-                radial = -a * np.sin(phase) + b * np.cos(phase)
+            for a, b, k, cos, sin in self._trig_terms(pts):
+                radial = -a * sin + b * cos
                 out += math.pi * radial[:, None] * k[None, :]
             return out
         if self.kind == "radial":
@@ -152,6 +149,27 @@ class TestFunction:
             idx = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, len(slopes) - 1)
             return slopes[idx][:, None]
         raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
+
+    def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(value(x), gradient(x)), bit for bit; the trigonometric kind
+        evaluates each term's phase, cosine and sine once for both."""
+        if self.kind != "trigonometric":
+            return self.value(x), self.gradient(x)
+        pts = self._pts(x)
+        val = np.full(pts.shape[0], float(self.params.get("const", 0.0)))
+        grad = np.zeros_like(pts)
+        for a, b, k, cos, sin in self._trig_terms(pts):
+            val += a * cos + b * sin
+            radial = -a * sin + b * cos
+            grad += math.pi * radial[:, None] * k[None, :]
+        return val, grad
+
+    def _trig_terms(self, pts):
+        """(a, b, k, cos(pi k.x), sin(pi k.x)) for each trigonometric term."""
+        for a, b, k in self.params["terms"]:
+            k = np.asarray(k, dtype=float)
+            phase = math.pi * (pts @ k)
+            yield a, b, k, np.cos(phase), np.sin(phase)
 
     def __call__(self, x) -> np.ndarray:
         return self.value(x)
@@ -333,8 +351,8 @@ def variance_functional(f: TestFunction, body: Domain, m_or_grid=64, seed: int =
 def rayleigh_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
     """E|grad f|^2 / Var(f), an upper bound for the spectral gap of the body."""
     ctx = _context(f, body, m_or_grid, seed)
-    v = f.value(ctx.nodes)
-    g2 = (f.gradient(ctx.nodes) ** 2).sum(axis=1)
+    v, grad = f.value_and_gradient(ctx.nodes)
+    g2 = (grad**2).sum(axis=1)
     num, se_num = _mean(ctx, g2)
     ev = float(ctx.probs @ v)
     den, se_den = _mean(ctx, (v - ev) ** 2)
@@ -349,8 +367,9 @@ def rayleigh_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0
 def lsi_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
     """2 E|grad f|^2 / Ent(f^2), an upper bound for the log-Sobolev constant."""
     ctx = _context(f, body, m_or_grid, seed)
-    v = f.value(ctx.nodes) ** 2
-    g2 = (f.gradient(ctx.nodes) ** 2).sum(axis=1)
+    v, grad = f.value_and_gradient(ctx.nodes)
+    v = v**2
+    g2 = (grad**2).sum(axis=1)
     num, se_num = _mean(ctx, 2.0 * g2)
     ev = float(ctx.probs @ v)
     if ev <= 1e-300:
@@ -459,13 +478,14 @@ def _tlsi_terms(domain: Domain, f: TestFunction, p: float, resolution: int):
     nodes, w = geometry.interior_quadrature(domain, resolution)
     mesh = geometry.boundary_quadrature(domain, resolution)
     vol = float(w.sum())
-    fp = np.abs(f.value(nodes)) ** p
+    values, grads = f.value_and_gradient(nodes)
+    fp = np.abs(values) ** p
     probs = w / vol
     mean_fp = float(probs @ fp)
     if mean_fp <= 1e-300:
         raise FunctionalDomainError("entropy side undefined: |f|^p integrates to 0")
     lhs = float(probs @ _xlogx(fp)) - mean_fp * math.log(mean_fp)
-    gn = np.linalg.norm(f.gradient(nodes), axis=1)
+    gn = np.linalg.norm(grads, axis=1)
     grad_int = float(w @ gn**p)
     bdry_int = float(mesh.weights @ np.abs(f.value(mesh.nodes)) ** p)
     q, grad_coeff, bdry_coeff = tlsi_coefficients(p, domain.dim, vol)
@@ -489,7 +509,10 @@ def tlsi_verify(
 
     Evaluates entropy, gradient, and boundary terms at the requested
     resolution and reports slack with a PASS/VIOLATION verdict.  Negative
-    slack beyond tolerance is flagged, never silently accepted.
+    slack beyond tolerance is flagged, never silently accepted.  At each
+    resolution, f and its gradient come from one ``value_and_gradient`` pass
+    over the interior nodes, and the meshes are the domain's cached ones, so
+    repeated checks on one domain object build each mesh once.
 
     The tolerance is calibrated once per instance at a fixed coarse anchor:
     the term drift between resolutions 16 and 8 (plus a small relative

@@ -19,13 +19,18 @@ Conventions used throughout:
 * ``boundary_quadrature`` returns nodes, outward unit normals, and weights
   summing to the exact surface measure.  In one dimension the boundary
   measure is counting measure, so each endpoint has weight one.
+* A body is not changed after construction, so each quadrature mesh is built
+  once per body object and resolution and kept on the object; every call
+  after the first returns the same read-only arrays.
 
 Serialization is canonical JSON; a body's fingerprint is the SHA-256 of that
-form and is used to tie sampled point clouds back to the body they came from.
+form, computed once per body object, and is used to tie sampled point clouds
+back to the body they came from.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -119,6 +124,12 @@ class AffineMap:
         return AffineMap(np.asarray(obj["linear"], float), np.asarray(obj["shift"], float))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class BoundaryMesh:
     """Surface quadrature: nodes on the boundary, outward unit normals, weights.
@@ -134,9 +145,7 @@ class BoundaryMesh:
 
     def __post_init__(self):
         for name in ("nodes", "normals", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.nodes.shape != self.normals.shape or self.nodes.shape[0] != self.weights.shape[0]:
             raise DimensionMismatchError("boundary mesh arrays have inconsistent shapes")
         if np.any(self.weights < 0):
@@ -147,10 +156,49 @@ class BoundaryMesh:
         return float(self.weights.sum())
 
 
-class ConvexBody:
-    """Base class for the convex body variants."""
+class _Region:
+    """What every domain shares: identity by canonical JSON, the quadrature
+    hooks, and the caches of what is derived from the immutable body."""
 
     dim: int
+
+    def to_json(self) -> dict:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @functools.cached_property
+    def _meshes(self) -> dict:
+        """Quadrature meshes already built, keyed by (kind, resolution)."""
+        return {}
+
+    def __eq__(self, other):
+        if not isinstance(other, _Region):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(self.fingerprint())
+
+    def _interior_quadrature(self, resolution: int):
+        raise QuadratureUnsupportedError(
+            f"interior quadrature unsupported for {type(self).__name__} in dimension {self.dim}"
+        )
+
+    def _boundary_quadrature(self, resolution: int):
+        raise QuadratureUnsupportedError(
+            f"boundary quadrature unsupported for {type(self).__name__} in dimension {self.dim}"
+        )
+
+
+class ConvexBody(_Region):
+    """Base class for the convex body variants."""
 
     # -- membership -------------------------------------------------------
 
@@ -176,34 +224,6 @@ class ConvexBody:
     def interior_point(self) -> np.ndarray:
         """A point in the interior, used as a chain anchor."""
         raise NotImplementedError
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def fingerprint(self) -> str:
-        return fingerprint(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, (ConvexBody, RectUnion)):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    def __hash__(self):
-        return hash(self.fingerprint())
-
-    # -- quadrature hooks ---------------------------------------------------
-
-    def _interior_quadrature(self, resolution: int):
-        raise QuadratureUnsupportedError(
-            f"interior quadrature unsupported for {type(self).__name__} in dimension {self.dim}"
-        )
-
-    def _boundary_quadrature(self, resolution: int):
-        raise QuadratureUnsupportedError(
-            f"boundary quadrature unsupported for {type(self).__name__} in dimension {self.dim}"
-        )
 
 
 def _check_point_shape(body, points) -> np.ndarray:
@@ -700,7 +720,7 @@ class AffineImage(ConvexBody):
         return mapped, new_normals, new_weights
 
 
-class RectUnion:
+class RectUnion(_Region):
     """Union of axis-aligned closed rectangles in the plane.
 
     Rectangles must have pairwise disjoint interiors.  Exact volume and
@@ -776,17 +796,6 @@ class RectUnion:
             "dim": 2,
             "rects": [[lo.tolist(), hi.tolist()] for lo, hi in self.rects],
         }
-
-    def fingerprint(self):
-        return fingerprint(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, (ConvexBody, RectUnion)):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    def __hash__(self):
-        return hash(self.fingerprint())
 
     def _exposed(self, k, axis, coord, sign):
         """Sub-intervals of rect k's edge not covered by a neighbor across it."""
@@ -1069,25 +1078,38 @@ def interior_quadrature(domain: Domain, resolution: int) -> tuple[np.ndarray, np
     """Deterministic interior nodes and weights; weights sum to the volume.
 
     Second-order accurate for smooth integrands: doubling the resolution
-    divides the error of a smooth integral by about four.
+    divides the error of a smooth integral by about four.  Built once per
+    domain object and resolution; the arrays are read-only.
     """
     if resolution < 2:
         raise QuadratureUnsupportedError(f"interior resolution must be >= 2, got {resolution}")
-    return domain._interior_quadrature(int(resolution))
+    key = ("interior", int(resolution))
+    mesh = domain._meshes.get(key)
+    if mesh is None:
+        nodes, weights = domain._interior_quadrature(int(resolution))
+        mesh = domain._meshes[key] = (_read_only(nodes), _read_only(weights))
+    return mesh
 
 
 def boundary_quadrature(body: Domain, resolution: int) -> BoundaryMesh:
-    """Deterministic surface mesh; weights sum to the surface measure."""
+    """Deterministic surface mesh; weights sum to the surface measure.
+
+    Built once per body object and resolution.
+    """
     if resolution < 8:
         raise QuadratureUnsupportedError(f"boundary resolution must be >= 8, got {resolution}")
-    nodes, normals, weights = body._boundary_quadrature(int(resolution))
-    return BoundaryMesh(
-        nodes=nodes,
-        normals=normals,
-        weights=weights,
-        resolution=int(resolution),
-        body_fingerprint=fingerprint(body),
-    )
+    key = ("boundary", int(resolution))
+    mesh = body._meshes.get(key)
+    if mesh is None:
+        nodes, normals, weights = body._boundary_quadrature(int(resolution))
+        mesh = body._meshes[key] = BoundaryMesh(
+            nodes=nodes,
+            normals=normals,
+            weights=weights,
+            resolution=int(resolution),
+            body_fingerprint=fingerprint(body),
+        )
+    return mesh
 
 
 def surface_area(body: Domain) -> float | None:
@@ -1119,9 +1141,9 @@ def body_from_json(obj: dict) -> Domain:
 
 
 def fingerprint(body: Domain) -> str:
-    """SHA-256 of the canonical JSON form; stable across processes."""
-    blob = json.dumps(body.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """SHA-256 of the canonical JSON form; stable across processes and
+    computed once per body object."""
+    return body.fingerprint()
 
 
 def ball_volume_one(n: int) -> Ball:

@@ -115,8 +115,10 @@ class DiscreteMeasure:
 
 
 def _merge_duplicates(pts, w):
-    # duplicates within 1e-12: group by rounded coordinates, sum weights
-    key = np.round(pts / 1e-12).astype(np.int64)
+    # duplicates within 1e-12: group by rounded coordinates, sum weights; the
+    # keys stay floats, since an integer cast overflows past about 9.2e6, and
+    # adding 0.0 turns -0.0 into 0.0
+    key = np.round(pts / 1e-12) + 0.0
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     if first.shape[0] == pts.shape[0]:
         return pts, w
@@ -204,7 +206,8 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
 
     Equal-cardinality uniform pairs solve an assignment problem; everything
     else solves the transportation linear program.  Instances larger than
-    4096 x 4096 fall back to entropic regularization with a warning.
+    4096 x 4096 fall back to entropic regularization with a warning, and
+    with a second one if that iteration stops unconverged.
     """
     C = cost_matrix(mu, nu, p)
     k1, k2 = C.shape
@@ -215,7 +218,14 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
             stacklevel=2,
         )
         med = float(np.median(C[C > 0])) if np.any(C > 0) else 1.0
-        return sinkhorn(mu, nu, p, epsilon=1e-3 * med)
+        plan = sinkhorn(mu, nu, p, epsilon=1e-3 * med)
+        if not plan.converged:
+            warnings.warn(
+                f"sinkhorn fallback did not converge in {plan.iterations} iterations "
+                f"(marginal defect {plan.marginal_defect:.3g}); its cost is approximate",
+                stacklevel=2,
+            )
+        return plan
     if k1 == k2 and mu.is_uniform() and nu.is_uniform():
         rows, cols = linear_sum_assignment(C)
         plan = np.zeros_like(C)

@@ -104,6 +104,37 @@ def test_gradient_against_finite_differences(f):
     assert np.abs(analytic - numeric).max() / scale <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        functional.polynomial([(1.0, (2, 1)), (0.5, (0, 3)), (-0.25, (1, 1))], 2),
+        functional.random_trig(2, 3),
+        functional.random_trig(3, 8),
+        functional.trigonometric(0.5, [(1.0, -0.5, (1,))], 1),
+        functional.radial([1.0, 2.0, 0.5], 2),
+        functional.from_grid([0.0, 0.3, 1.0], [1.0, 2.0, 0.5]),
+    ],
+    ids=lambda f: f"{f.kind}-{f.dim}d",
+)
+def test_value_and_gradient_match_separate_calls_bitwise(f):
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-0.9, 0.9, size=(257, f.dim))
+    value, grad = f.value_and_gradient(pts)
+    for fused, alone in ((value, f.value(pts)), (grad, f.gradient(pts))):
+        assert fused.dtype == alone.dtype and fused.shape == alone.shape
+        assert fused.tobytes() == alone.tobytes()
+    if f.kind == "trigonometric":
+        # the per-term expressions the fused pass must reproduce exactly
+        ref_v = np.full(pts.shape[0], f.params["const"])
+        ref_g = np.zeros_like(pts)
+        for a, b, k in f.params["terms"]:
+            k = np.asarray(k, dtype=float)
+            phase = math.pi * (pts @ k)
+            ref_v += a * np.cos(phase) + b * np.sin(phase)
+            ref_g += math.pi * (-a * np.sin(phase) + b * np.cos(phase))[:, None] * k[None, :]
+        assert value.tobytes() == ref_v.tobytes() and grad.tobytes() == ref_g.tobytes()
+
+
 # -- scalar functionals --------------------------------------------------------
 
 

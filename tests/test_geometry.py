@@ -197,3 +197,59 @@ def test_affine_image_membership_roundtrip(a, b, c, sx, sy):
     mapped = img.map.apply(base_pts)
     assert np.all(img.contains_many(mapped, tol=1e-9))
     assert np.allclose(img.map.inverse().apply(mapped), base_pts, atol=1e-9)
+
+
+CACHED_BODIES = [
+    Ball(1.5, 1),
+    Ball(1.0, 2),
+    Ball(0.8, 3),
+    Ball(1.0, 5),
+    Cube(1.5, 2),
+    Cube(1.0, 3),
+    L1Ball(1.0, 2),
+    L1Ball(1.0, 3),
+    HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 1.0, 0.5])),
+    geometry.apply_affine(Ball(1.0, 2), [[2.0, 0.3], [0.0, 1.0]], [0.1, -0.2]),
+    geometry.interval(0.25, 1.75),
+    LSHAPE,
+]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("body", CACHED_BODIES, ids=lambda b: f"{b.to_json()['variant']}-{b.dim}d")
+def test_cached_meshes_equal_fresh_builds(body):
+    """A cached mesh is bit-for-bit the mesh the variant builds, read-only and
+    returned again by every later call on the same object."""
+    for resolution in (8, 16):
+        try:
+            fresh = body._interior_quadrature(resolution)
+        except QuadratureUnsupportedError:
+            with pytest.raises(QuadratureUnsupportedError):
+                geometry.interior_quadrature(body, resolution)
+        else:
+            cached = geometry.interior_quadrature(body, resolution)
+            assert all(_same_bits(c, np.asarray(f, float)) for c, f in zip(cached, fresh))
+            assert geometry.interior_quadrature(body, resolution) is cached
+            for arr in cached:
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        mesh = geometry.boundary_quadrature(body, resolution)
+        fresh = body._boundary_quadrature(resolution)
+        for arr, f in zip((mesh.nodes, mesh.normals, mesh.weights), fresh):
+            assert _same_bits(arr, np.asarray(f, float))
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert mesh.body_fingerprint == geometry.fingerprint(body)
+        assert geometry.boundary_quadrature(body, resolution) is mesh
+
+
+def test_fingerprint_computed_once_per_object():
+    body = Ball(1.25, 3)
+    fp = geometry.fingerprint(body)
+    assert body.fingerprint() is fp
+    assert fp == geometry.fingerprint(Ball(1.25, 3))
+    assert body == Ball(1.25, 3) and hash(body) == hash(Ball(1.25, 3))
+    assert LSHAPE == RectUnion(LSHAPE.rects) and LSHAPE != Ball(1.0, 2)

@@ -27,6 +27,18 @@ def test_discrete_measure_merges_duplicates():
     assert sorted(d.weights.tolist()) == [0.5, 0.5]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exponent=st.integers(-6, 15), sign=st.sampled_from([1.0, -1.0]))
+def test_discrete_measure_keeps_distinct_points_at_any_scale(exponent, sign):
+    # keys of pts / 1e-12 passed the int64 range at coordinates near 9.2e6
+    pts = sign * 10.0**exponent * np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 5.0]])
+    assert DiscreteMeasure.uniform(pts).count == 3
+    # a repeated point and the origin written with both signs of zero merge
+    again = DiscreteMeasure.uniform(np.vstack([pts, pts[1:2], [[0.0, -0.0], [-0.0, 0.0]]]))
+    assert again.count == 4
+    assert sorted(again.weights.tolist()) == pytest.approx([1 / 6, 1 / 6, 1 / 3, 1 / 3])
+
+
 def test_discrete_measure_weight_validation():
     with pytest.raises(NotNormalizedError):
         DiscreteMeasure(np.zeros((2, 2)), np.array([0.7, 0.7]))
@@ -96,6 +108,27 @@ def test_exact_cap_falls_back_to_sinkhorn(monkeypatch):
     with pytest.warns(UserWarning, match="exceeds the exact solver cap"):
         plan = transport.exact_ot(mu, nu, 2)
     assert plan.solver == "sinkhorn"
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_exact_cap_fallback_warns_when_sinkhorn_stops_unconverged(monkeypatch, p):
+    # one far outlier on each side: at the fallback's epsilon the iteration
+    # reaches max_iters before its stopping test holds
+    monkeypatch.setattr(transport, "_EXACT_CAP", 8)
+    rng = np.random.default_rng(1)
+    x, y = rng.random((2, 20, 2))
+    x[0], y[0] = (300.0, 0.0), (0.0, 300.0)
+    mu, nu = DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan = transport.exact_ot(mu, nu, p)
+    assert plan.solver == "sinkhorn" and not plan.converged
+    messages = [str(w.message) for w in caught]
+    assert any("exceeds the exact solver cap" in m for m in messages)
+    unconverged = [m for m in messages if "did not converge" in m]
+    assert len(unconverged) == 1
+    assert f"{plan.iterations} iterations" in unconverged[0]
+    assert f"marginal defect {plan.marginal_defect:.3g}" in unconverged[0]
 
 
 def test_sinkhorn_error_decreases_with_epsilon():
