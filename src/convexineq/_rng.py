@@ -8,12 +8,15 @@ other streams were consumed before it.  That makes every estimate in the
 package reproducible bit-for-bit regardless of evaluation order or worker
 count.
 
-Purpose codes are module-local constants.  Keep them distinct across call
-sites that share a user-facing seed, otherwise two logically independent
-estimates would reuse the same stream.
+Every purpose code lives in the one :class:`Purpose` table below, which
+keeps the codes distinct: two call sites sharing a user-facing seed and a
+code would make logically independent estimates reuse the same stream.  A
+code's value is part of every stream it keys, so values never change.
 """
 
 from __future__ import annotations
+
+import enum
 
 import numpy as np
 
@@ -22,6 +25,64 @@ import numpy as np
 CHUNK = 65536
 
 _MASK64 = (1 << 64) - 1
+
+
+@enum.unique
+class Purpose(enum.IntEnum):
+    """The purpose code of each call site family, grouped by module."""
+
+    # sampling
+    SAMPLE_DIRECT = 1
+    SAMPLE_CHAIN = 2
+    SAMPLE_CHECK = 9
+    # geometry
+    VOLUME_MC = 6
+    SPHERE_MESH = 7
+    # isotropy
+    ISO_FIT = 10
+    ISO_VALIDATE = 11
+    ISO_VOLUME = 12
+    ISO_NET = 13
+    ISO_CERT = 14
+    RATIO_VOLUME_B = 21
+    RATIO_VOLUME_K = 22
+    CENTERED_CHECK = 23
+    ENTROPY_VOLUME_K = 24
+    ENTROPY_VOLUME_B = 25
+    # transport
+    EMPIRICAL_W = 30
+    TCI_ENTROPY = 31
+    TCI_W = 32
+    # functional
+    FUNCTIONAL_MC = 40
+    KLS = 44
+    DIRICHLET_MC = 45
+    TRIG = 46
+    # concentration
+    PROFILE = 50
+    TAU = 51
+    TAU_DIRS = 52
+    AUDIT_MEAN_K = 53
+    AUDIT_MEAN_B = 54
+    AUDIT_SQ_K = 55
+    AUDIT_SQ_B = 56
+    AUDIT_ENTROPY = 57
+    AUDIT_LK = 58
+    AUDIT_TAU = 59
+    AUDIT_W1 = 60
+    AUDIT_ISO_CHECK = 61
+    # corpora
+    CORPUS_OT = 70
+    CORPUS_SINKHORN = 71
+    CORPUS_NESTED = 72
+    # acceptance
+    CRITERION_ENTROPY = 80
+    CRITERION_ENTROPY_MC = 81
+    CRITERION_ISO = 82
+    CRITERION_AFFINE = 83
+    CRITERION_AFFINE_L = 84
+    CRITERION_AUDIT = 85
+    CRITERION_TAU = 86
 
 
 def rng_for(seed: int, purpose: int, rep: int = 0, chunk: int = 0) -> np.random.Generator:

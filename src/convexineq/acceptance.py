@@ -7,28 +7,43 @@ wall-clock data.  ``tolerance_scale`` multiplies every numeric acceptance
 tolerance (including the sigma multipliers of statistical checks), which
 makes the negative control at scale 0 meaningful: checks that can only pass
 with a genuine tolerance must then fail, demonstrating they are live.
+
+The corpus checks of criteria 1, 6, 7, 8 and 10 are corpus runners
+(``ot_corpus``, ``tlsi_corpus``, ``dirichlet_corpus``, ``brenier_corpus``,
+``lemma1_corpus``) that take a slice of their corpus and return a
+:class:`RunReport`.  A criterion runs its full slice; the CLI commands
+``ot``, ``tlsi-verify``, ``dirichlet-sharpness``, ``brenier-1d`` and
+``lemma1-audit`` run the slice their ``params`` name, validated against
+``SLICE_PARAMS``, so both report the same rows under the same check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
 
 from . import concentration, corpora, functional, geometry, isotropy, transport
-from ._rng import child_seed, rng_for
+from ._rng import Purpose, child_seed, rng_for
+from .errors import ConvexIneqError
 from .geometry import Ball, Cube, apply_affine, ball_volume_one, interval, l1_ball_volume_one
 from .reporting import csv_text
 
-_PURPOSE_ENTROPY = 80
-_PURPOSE_ENTROPY_MC = 81
-_PURPOSE_ISO = 82
-_PURPOSE_AFFINE = 83
-_PURPOSE_AFFINE_L = 84
-_PURPOSE_AUDIT = 85
-_PURPOSE_TAU = 86
+
+@dataclass(frozen=True)
+class RunReport:
+    """One run of a check: its table, the offending records (empty when the
+    check holds), the summary its JSON report carries, and any further
+    tables by name."""
+
+    header: tuple
+    rows: list
+    violations: list
+    payload: dict
+    tables: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -53,27 +68,205 @@ class CriterionResult:
         )
 
 
+def _criterion(index, name, run: RunReport, detail, limit, passed=None) -> CriterionResult:
+    return CriterionResult(
+        index=index,
+        name=name,
+        passed=not run.violations if passed is None else passed,
+        detail=detail,
+        header=run.header,
+        rows=tuple(run.rows),
+        limit=limit,
+    )
+
+
+# -- corpus runners ----------------------------------------------------------
+
+
+def ot_corpus(ts: float, instances: int = corpora.OT_INSTANCES, oracle: bool = True) -> RunReport:
+    """exact_ot on the first ``instances`` OT corpus instances; with
+    ``oracle``, an instance off the permutation oracle by more than
+    1e-9 * ts is a violation."""
+    rows, violations = [], []
+    worst = 0.0
+    for i in range(instances):
+        mu, nu, p = corpora.ot_instance(i)
+        cost = transport.exact_ot(mu, nu, p).cost
+        ref = diff = math.nan
+        if oracle:
+            ref = transport.permutation_oracle(mu, nu, p).cost
+            diff = abs(cost - ref)
+            worst = max(worst, diff)
+            if diff > 1e-9 * ts:
+                violations.append({"instance": i, "p": p, "abs_diff": diff, "limit": 1e-9 * ts})
+        rows.append((i, p, cost, ref, diff))
+    header = ("instance", "p", "exact_cost", "oracle_cost", "abs_diff")
+    payload = {"instances": instances, "oracle": oracle, "max_abs_diff": worst if oracle else None}
+    return RunReport(header, rows, violations, payload)
+
+
+def tlsi_corpus(
+    ts: float,
+    domains=("lshape",),
+    count: int = corpora.TRIG_SEEDS,
+    ps=(1, 2, 3),
+    resolution: int = 24,
+) -> RunReport:
+    """tlsi_verify on the first ``count`` trigonometric functions of each
+    named domain at each exponent; a slack below -tolerance * ts is a
+    violation.  An unknown domain name raises."""
+    available = corpora.domain_set()
+    rows, violations = [], []
+    for name in domains:
+        if name not in available:
+            raise ConvexIneqError(f"unknown corpus domain {name!r}; have {sorted(available)}")
+        dom = available[name]
+        for i in range(count):
+            f = corpora.trig_function(dom.dim, i)
+            for p in ps:
+                rep = functional.tlsi_verify(dom, f, p, grid_resolution=resolution)
+                viol = rep.slack < -rep.tolerance * ts
+                verdict = "VIOLATION" if viol else "PASS"
+                rows.append(
+                    (name, p, f.label, rep.lhs, rep.grad_term, rep.bdry_term, rep.slack, rep.tolerance, verdict)
+                )
+                if viol:
+                    violations.append(
+                        {"domain": name, "p": p, "f_id": f.label, "slack": rep.slack, "tolerance": rep.tolerance}
+                    )
+    header = ("domain", "p", "f_id", "lhs", "grad_term", "bdry_term", "slack", "tolerance", "verdict")
+    return RunReport(header, rows, violations, {"instances": len(rows), "violations": len(violations)})
+
+
+def dirichlet_corpus(ts: float, resolution: int = 256) -> RunReport:
+    """The Dirichlet comparison on the disk, where it is sharp (ratio 1),
+    and on the square (ratio 0.9549); a ratio more than 0.01 * ts off its
+    target is a violation."""
+    rows, violations = [], []
+    for name, dom, target in (
+        ("disk", Ball(1.0, 2), 1.0),
+        ("square", Cube(1.0, 2), 0.9549),
+    ):
+        c = functional.dirichlet_lsi_constants(dom, ("grid", resolution))
+        diff = abs(c.ratio - target)
+        ok = diff <= 0.01 * ts
+        rows.append(
+            (name, c.prop_constant, c.classical_bound, c.ratio, target, diff, "PASS" if ok else "FAIL")
+        )
+        if not ok:
+            violations.append({"domain": name, "ratio": c.ratio, "target": target, "limit": 0.01 * ts})
+    header = ("domain", "prop_constant", "classical_bound", "ratio", "target", "abs_diff", "verdict")
+    return RunReport(header, rows, violations, {"cases": len(rows)})
+
+
+def brenier_corpus(ts: float, count: int = 20, ps=(1.5, 2.0, 3.0), points: int = 2049) -> RunReport:
+    """The 1-D chain audit: f = 1 at p = 2, whose slacks must match their
+    analytic values within 1e-6 * ts, then the first ``count``
+    trigonometric functions on ``points``-point grids at each exponent,
+    whose every step must pass."""
+    rows, violations = [], []
+
+    chain = functional.brenier_chain_check_1d(np.ones(4097), (0.0, 1.0), p=2)
+    analytic = {
+        "log_det_bound": 0.0,
+        "integration_by_parts": 0.0,
+        "boundary_bound": 0.0,
+        "holder_young": chain.R**2 / 3.0,  # (p-1) R^q/(1+q) at p = 2
+    }
+    for s in chain.steps:
+        gap = abs(s.slack - analytic[s.name])
+        ok = s.verdict == "PASS" and gap <= 1e-6 * ts
+        rows.append(("const-1", 2.0, s.name, s.lhs, s.rhs, s.slack, s.tolerance, "PASS" if ok else "FAIL"))
+        if not ok:
+            violations.append({"f_id": "const-1", "p": 2.0, "step": s.name, "slack": s.slack, "gap": gap})
+
+    for i in range(count):
+        f = corpora.trig_function(1, i)
+        vals = corpora.brenier_grid(f, points=points)
+        for p in ps:
+            chain = functional.brenier_chain_check_1d(vals, (0.0, 1.0), p=float(p))
+            for s in chain.steps:
+                rows.append((f.label, p, s.name, s.lhs, s.rhs, s.slack, s.tolerance, s.verdict))
+                if s.verdict != "PASS":
+                    violations.append({"f_id": f.label, "p": p, "step": s.name, "slack": s.slack})
+    header = ("f_id", "p", "step", "lhs", "rhs", "slack", "tolerance", "verdict")
+    return RunReport(header, rows, violations, {"audits": 1 + count * len(ps), "violations": len(violations)})
+
+
+def lemma1_corpus(ts: float, seed: int, pair: str = "both", reps: int = 1, m: int = 1024) -> RunReport:
+    """lemma1_audit on the reference pairs (``pair`` names one, or "both")
+    at seeds seed, seed + 1, ... for ``reps`` repetitions.  The triangle and
+    Cauchy-Schwarz steps are judged at 4 * ts combined stderr; with more
+    than one repetition, a spread of c_implied over them above 0.25 * ts of
+    its mean is a violation too.  An unknown pair name raises."""
+    pairs = corpora.audit_pairs()
+    chosen = [idx for idx, (name, _, _) in enumerate(pairs) if pair in ("both", name)]
+    if not chosen:
+        raise ConvexIneqError(f"unknown audit pair {pair!r}; have " + ", ".join(n for n, _, _ in pairs))
+    rows, violations, audits = [], [], []
+    for idx in chosen:
+        name, K, B = pairs[idx]
+        c_values = []
+        for r in range(reps):
+            audit_seed = child_seed(seed + r, Purpose.CRITERION_AUDIT, idx)
+            audit = concentration.lemma1_audit(K, B, m=m, seed=audit_seed)
+            audits.append({"pair": name, "rep": r, **audit.to_json()})
+            c, tau = audit.quantities["c_implied"], audit.quantities["tau_proxy"]
+            c_values.append(c.value)
+            for step in audit.steps:
+                verdict = step.verdict
+                if step.name in ("triangle", "cauchy_schwarz"):
+                    ok = step.lhs <= step.rhs + 4.0 * ts * step.stderr
+                    verdict = "PASS" if ok else "VIOLATION"
+                    if not ok:
+                        violations.append(
+                            {"pair": name, "rep": r, "step": step.name, "lhs": step.lhs, "rhs": step.rhs}
+                        )
+                rows.append((name, r, step.name, step.lhs, step.rhs, step.stderr, verdict))
+            rows.append((name, r, "c_implied", c.value, tau.value, c.stderr, "REPORTED"))
+        if reps > 1:
+            mean_c = sum(c_values) / len(c_values)
+            spread = (max(c_values) - min(c_values)) / mean_c
+            ok = spread <= 0.25 * ts
+            rows.append((name, -1, "c_spread", spread, 0.25, 0.0, "PASS" if ok else "FAIL"))
+            if not ok:
+                violations.append({"pair": name, "step": "c_spread", "spread": spread, "limit": 0.25 * ts})
+    header = ("pair", "rep", "record", "lhs", "rhs", "stderr", "verdict")
+    return RunReport(header, rows, violations, {"audits": audits})
+
+
+_COUNT = {"type": "integer", "minimum": 1}
+_EXPONENTS = {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 1}}
+
+# JSON schema of the runner arguments a CLI command's params may set (the
+# tolerance scale, seed and oracle come from the manifest's own keys, and
+# lemma1-audit runs one repetition)
+SLICE_PARAMS = {
+    ot_corpus: {"instances": {**_COUNT, "maximum": corpora.OT_INSTANCES}},
+    tlsi_corpus: {
+        "domains": {"type": "array", "minItems": 1, "items": {"type": "string"}},
+        "count": {**_COUNT, "maximum": corpora.TRIG_SEEDS},
+        "ps": _EXPONENTS,
+        "resolution": {"type": "integer", "minimum": 16},
+    },
+    dirichlet_corpus: {"resolution": {"type": "integer", "minimum": 2}},
+    brenier_corpus: {
+        "count": {**_COUNT, "maximum": corpora.TRIG_SEEDS},
+        "ps": _EXPONENTS,
+        "points": {"type": "integer", "minimum": 9},
+    },
+    lemma1_corpus: {"pair": {"type": "string"}, "m": {"type": "integer", "minimum": 2}},
+}
+
+
+# -- criteria ----------------------------------------------------------------
+
+
 def criterion_1(seed: int, ts: float) -> CriterionResult:
     """exact_ot equals the brute-force permutation oracle on 500 instances."""
-    rows = []
-    worst = 0.0
-    for i in range(corpora.OT_INSTANCES):
-        mu, nu, p = corpora.ot_instance(i)
-        plan = transport.exact_ot(mu, nu, p)
-        oracle = transport.permutation_oracle(mu, nu, p)
-        diff = abs(plan.cost - oracle.cost)
-        worst = max(worst, diff)
-        rows.append((i, p, plan.cost, oracle.cost, diff))
-    passed = worst <= 1e-9 * ts
-    return CriterionResult(
-        index=1,
-        name="ot-oracle",
-        passed=passed,
-        detail=f"max |exact - oracle| = {worst:.3g} over {len(rows)} instances",
-        header=("instance", "p", "exact_cost", "oracle_cost", "abs_diff"),
-        rows=tuple(rows),
-        limit=30.0,
-    )
+    run = ot_corpus(ts, corpora.OT_INSTANCES)
+    detail = f"max |exact - oracle| = {run.payload['max_abs_diff']:.3g} over {len(run.rows)} instances"
+    return _criterion(1, "ot-oracle", run, detail, limit=30.0)
 
 
 def criterion_2(seed: int, ts: float) -> CriterionResult:
@@ -142,15 +335,15 @@ def criterion_4(seed: int, ts: float) -> CriterionResult:
     failures = 0
     for idx, (name, K, B) in enumerate(corpora.nested_pairs()):
         h = isotropy.relative_entropy_uniform(
-            K, B, m=10_000, seed=child_seed(seed, _PURPOSE_ENTROPY, idx)
+            K, B, m=10_000, seed=child_seed(seed, Purpose.CRITERION_ENTROPY, idx)
         )
         vK = geometry.volume_with_error(
-            K, mc_samples=200_000, seed=child_seed(seed, _PURPOSE_ENTROPY_MC, 2 * idx), method="mc"
+            K, mc_samples=200_000, seed=child_seed(seed, Purpose.CRITERION_ENTROPY_MC, 2 * idx), method="mc"
         )
         vB = geometry.volume_with_error(
             B,
             mc_samples=200_000,
-            seed=child_seed(seed, _PURPOSE_ENTROPY_MC, 2 * idx + 1),
+            seed=child_seed(seed, Purpose.CRITERION_ENTROPY_MC, 2 * idx + 1),
             method="mc",
         )
         h_mc = math.log(vB.value / vK.value)
@@ -176,21 +369,21 @@ def criterion_5(seed: int, ts: float) -> CriterionResult:
     failures = 0
     target_cube = 1.0 / math.sqrt(12.0)
     for n in range(2, 7):
-        L = isotropy.isotropic_constant(Cube(1.0, n), m=200_000, seed=child_seed(seed, _PURPOSE_ISO, n))
+        L = isotropy.isotropic_constant(Cube(1.0, n), m=200_000, seed=child_seed(seed, Purpose.CRITERION_ISO, n))
         rel = abs(L.value - target_cube) / target_cube
         ok = rel <= 0.01 * ts
         failures += 0 if ok else 1
         rows.append((f"Q_{n}", n, L.value, L.stderr, target_cube, rel, "PASS" if ok else "FAIL"))
     target_disk = 1.0 / (2.0 * math.sqrt(math.pi))
-    L = isotropy.isotropic_constant(ball_volume_one(2), m=200_000, seed=child_seed(seed, _PURPOSE_ISO, 1))
+    L = isotropy.isotropic_constant(ball_volume_one(2), m=200_000, seed=child_seed(seed, Purpose.CRITERION_ISO, 1))
     rel = abs(L.value - target_disk) / target_disk
     ok = rel <= 0.01 * ts
     failures += 0 if ok else 1
     rows.append(("D_2", 2, L.value, L.stderr, target_disk, rel, "PASS" if ok else "FAIL"))
 
     base = Cube(1.0, 3)
-    L0 = isotropy.isotropic_constant(base, m=200_000, seed=child_seed(seed, _PURPOSE_AFFINE, 0))
-    g = rng_for(seed, _PURPOSE_AFFINE, rep=1)
+    L0 = isotropy.isotropic_constant(base, m=200_000, seed=child_seed(seed, Purpose.CRITERION_AFFINE, 0))
+    g = rng_for(seed, Purpose.CRITERION_AFFINE, rep=1)
     for j in range(20):
         while True:
             A = np.eye(3) + 0.5 * g.standard_normal((3, 3))
@@ -198,7 +391,7 @@ def criterion_5(seed: int, ts: float) -> CriterionResult:
                 break
         shift = g.standard_normal(3)
         Lj = isotropy.isotropic_constant(
-            apply_affine(base, A, shift), m=200_000, seed=child_seed(seed, _PURPOSE_AFFINE_L, j)
+            apply_affine(base, A, shift), m=200_000, seed=child_seed(seed, Purpose.CRITERION_AFFINE_L, j)
         )
         rel = abs(Lj.value / L0.value - 1.0)
         ok = rel <= 0.02 * ts
@@ -221,117 +414,38 @@ _TLSI_PS = (1, 2, 3)
 
 def criterion_6(seed: int, ts: float) -> CriterionResult:
     """1200-instance trace log-Sobolev corpus plus tolerance halving."""
+    run = tlsi_corpus(ts, _TLSI_DOMAINS, corpora.TRIG_SEEDS, _TLSI_PS, 24)
+    # the runner's rows follow this (domain, function, exponent) order
+    keys = itertools.product(_TLSI_DOMAINS, range(corpora.TRIG_SEEDS), _TLSI_PS)
     domains = corpora.domain_set()
-    rows = []
-    violations = 0
-    reports = {}
-    for dn in _TLSI_DOMAINS:
-        dom = domains[dn]
-        for i in range(corpora.TRIG_SEEDS):
-            f = corpora.trig_function(dom.dim, i)
-            for p in _TLSI_PS:
-                rep = functional.tlsi_verify(dom, f, p, grid_resolution=24)
-                reports[(dn, i, p)] = rep
-                viol = rep.slack < -rep.tolerance * ts
-                violations += 1 if viol else 0
-                rows.append(
-                    (
-                        dn,
-                        p,
-                        f.label,
-                        rep.lhs,
-                        rep.grad_term,
-                        rep.bdry_term,
-                        rep.slack,
-                        rep.tolerance,
-                        "VIOLATION" if viol else "PASS",
-                    )
-                )
-    keys = list(reports.keys())
     halving_failures = 0
-    for key in keys[::40][:30]:
-        dn, i, p = key
+    for (dn, i, p), row in list(zip(keys, run.rows))[::40][:30]:
         fine = functional.tlsi_verify(domains[dn], corpora.trig_function(domains[dn].dim, i), p, 48)
-        if not fine.tolerance <= 0.5 * reports[key].tolerance:
+        if not fine.tolerance <= 0.5 * row[run.header.index("tolerance")]:
             halving_failures += 1
-    passed = violations == 0 and halving_failures == 0
-    return CriterionResult(
-        index=6,
-        name="tlsi-corpus",
-        passed=passed,
-        detail=(
-            f"{violations} violations in {len(rows)} instances; "
-            f"{halving_failures} halving failures on the 30-instance subsample"
-        ),
-        header=("domain", "p", "f_id", "lhs", "grad_term", "bdry_term", "slack", "tolerance", "verdict"),
-        rows=tuple(rows),
-        limit=600.0,
+    detail = (
+        f"{len(run.violations)} violations in {len(run.rows)} instances; "
+        f"{halving_failures} halving failures on the 30-instance subsample"
     )
+    passed = not run.violations and halving_failures == 0
+    return _criterion(6, "tlsi-corpus", run, detail, limit=600.0, passed=passed)
 
 
 def criterion_7(seed: int, ts: float) -> CriterionResult:
     """Dirichlet comparison sharp on the disk, 0.9549 on the square."""
-    rows = []
-    failures = 0
-    for name, dom, target in (
-        ("disk", Ball(1.0, 2), 1.0),
-        ("square", Cube(1.0, 2), 0.9549),
-    ):
-        c = functional.dirichlet_lsi_constants(dom, ("grid", 256))
-        diff = abs(c.ratio - target)
-        ok = diff <= 0.01 * ts
-        failures += 0 if ok else 1
-        rows.append(
-            (name, c.prop_constant, c.classical_bound, c.ratio, target, diff, "PASS" if ok else "FAIL")
-        )
-    return CriterionResult(
-        index=7,
-        name="dirichlet-sharpness",
-        passed=failures == 0,
-        detail="; ".join(f"{r[0]} ratio {r[3]:.5f} vs {r[4]}" for r in rows),
-        header=("domain", "prop_constant", "classical_bound", "ratio", "target", "abs_diff", "verdict"),
-        rows=tuple(rows),
-        limit=60.0,
-    )
+    run = dirichlet_corpus(ts, 256)
+    detail = "; ".join(f"{r[0]} ratio {r[3]:.5f} vs {r[4]}" for r in run.rows)
+    return _criterion(7, "dirichlet-sharpness", run, detail, limit=60.0)
 
 
 def criterion_8(seed: int, ts: float) -> CriterionResult:
     """1-D chain audit: f = 1 hits analytic slacks; random trig f all pass."""
-    rows = []
-    failures = 0
-
-    chain = functional.brenier_chain_check_1d(np.ones(4097), (0.0, 1.0), p=2)
-    analytic = {
-        "log_det_bound": 0.0,
-        "integration_by_parts": 0.0,
-        "boundary_bound": 0.0,
-        "holder_young": chain.R**2 / 3.0,  # (p-1) R^q/(1+q) at p = 2
-    }
-    for s in chain.steps:
-        gap = abs(s.slack - analytic[s.name])
-        ok = s.verdict == "PASS" and gap <= 1e-6 * ts
-        failures += 0 if ok else 1
-        rows.append(("const-1", 2.0, s.name, s.lhs, s.rhs, s.slack, s.tolerance, "PASS" if ok else "FAIL"))
-
-    for i in range(20):
-        f = corpora.trig_function(1, i)
-        vals = corpora.brenier_grid(f)
-        for p in (1.5, 2.0, 3.0):
-            chain = functional.brenier_chain_check_1d(vals, (0.0, 1.0), p=p)
-            for s in chain.steps:
-                ok = s.verdict == "PASS"
-                failures += 0 if ok else 1
-                rows.append((f.label, p, s.name, s.lhs, s.rhs, s.slack, s.tolerance, s.verdict))
-    passed = failures == 0
-    return CriterionResult(
-        index=8,
-        name="brenier-1d",
-        passed=passed,
-        detail=f"{failures} step failures over {len(rows)} step records (61 audits)",
-        header=("f_id", "p", "step", "lhs", "rhs", "slack", "tolerance", "verdict"),
-        rows=tuple(rows),
-        limit=60.0,
+    run = brenier_corpus(ts, 20, (1.5, 2.0, 3.0), 2049)
+    detail = (
+        f"{len(run.violations)} step failures over {len(run.rows)} step records "
+        f"({run.payload['audits']} audits)"
     )
+    return _criterion(8, "brenier-1d", run, detail, limit=60.0)
 
 
 def criterion_9(seed: int, ts: float) -> CriterionResult:
@@ -363,46 +477,9 @@ def criterion_9(seed: int, ts: float) -> CriterionResult:
 
 def criterion_10(seed: int, ts: float) -> CriterionResult:
     """Mean-norm audit chain on both reference pairs, three seeds each."""
-    rows = []
-    failures = 0
-    for idx, (pname, K, B) in enumerate(corpora.audit_pairs()):
-        c_values = []
-        for r, s in enumerate((seed, seed + 1, seed + 2)):
-            audit = concentration.lemma1_audit(K, B, m=1024, seed=child_seed(s, _PURPOSE_AUDIT, idx))
-            c_values.append(audit.quantities["c_implied"].value)
-            for step in audit.steps:
-                if step.name in ("triangle", "cauchy_schwarz"):
-                    ok = step.lhs <= step.rhs + 4.0 * ts * step.stderr
-                    failures += 0 if ok else 1
-                    verdict = "PASS" if ok else "VIOLATION"
-                else:
-                    verdict = step.verdict
-                rows.append((pname, r, step.name, step.lhs, step.rhs, step.stderr, verdict))
-            rows.append(
-                (
-                    pname,
-                    r,
-                    "c_implied",
-                    audit.quantities["c_implied"].value,
-                    audit.quantities["tau_proxy"].value,
-                    audit.quantities["c_implied"].stderr,
-                    "REPORTED",
-                )
-            )
-        mean_c = sum(c_values) / len(c_values)
-        spread = (max(c_values) - min(c_values)) / mean_c
-        ok = spread <= 0.25 * ts
-        failures += 0 if ok else 1
-        rows.append((pname, -1, "c_spread", spread, 0.25, 0.0, "PASS" if ok else "FAIL"))
-    return CriterionResult(
-        index=10,
-        name="lemma1-audit",
-        passed=failures == 0,
-        detail=f"{failures} failures across 6 audits and 2 stability checks",
-        header=("pair", "rep", "record", "lhs", "rhs", "stderr", "verdict"),
-        rows=tuple(rows),
-        limit=300.0,
-    )
+    run = lemma1_corpus(ts, seed, "both", 3, 1024)
+    detail = f"{len(run.violations)} failures across 6 audits and 2 stability checks"
+    return _criterion(10, "lemma1-audit", run, detail, limit=300.0)
 
 
 def criterion_11(seed: int, ts: float) -> CriterionResult:
@@ -411,7 +488,8 @@ def criterion_11(seed: int, ts: float) -> CriterionResult:
     failures = 0
     l1 = {}
     for j, n in enumerate((4, 8, 16)):
-        res = concentration.tau1_proxy(l1_ball_volume_one(n), m=200_000, seed=child_seed(seed, _PURPOSE_TAU, j))
+        tau_seed = child_seed(seed, Purpose.CRITERION_TAU, j)
+        res = concentration.tau1_proxy(l1_ball_volume_one(n), m=200_000, seed=tau_seed)
         l1[n] = res.estimate.value
         rows.append(("l1", n, res.estimate.value, res.estimate.stderr, res.argmin))
     for a, b in ((4, 8), (8, 16)):
@@ -422,7 +500,8 @@ def criterion_11(seed: int, ts: float) -> CriterionResult:
     for j, (fam, make) in enumerate((("cube", lambda n: Cube(1.0, n)), ("ball", ball_volume_one))):
         taus = []
         for k, n in enumerate((2, 4, 8)):
-            res = concentration.tau1_proxy(make(n), m=200_000, seed=child_seed(seed, _PURPOSE_TAU, 10 + 3 * j + k))
+            tau_seed = child_seed(seed, Purpose.CRITERION_TAU, 10 + 3 * j + k)
+            res = concentration.tau1_proxy(make(n), m=200_000, seed=tau_seed)
             taus.append(res.estimate.value)
             rows.append((fam, n, res.estimate.value, res.estimate.stderr, res.argmin))
         spread = max(taus) / min(taus)
@@ -459,7 +538,10 @@ CRITERIA = (
 @dataclass(frozen=True)
 class SuiteResult:
     results: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
 
     def combined_csv(self) -> str:
         return "".join(r.csv() for r in self.results if r.index <= 11)
@@ -490,9 +572,8 @@ def run_suite(
     t0 = perf_counter()
     results = _run_all(seed, tolerance_scale, echo)
     if check_determinism:
-        first = "".join(csv_text(list(r.header), list(r.rows)) for r in results)
-        again = _run_all(seed, tolerance_scale, None)
-        second = "".join(csv_text(list(r.header), list(r.rows)) for r in again)
+        first = SuiteResult(tuple(results)).combined_csv()
+        second = SuiteResult(tuple(_run_all(seed, tolerance_scale, None))).combined_csv()
         identical = first == second
         elapsed = perf_counter() - t0
         res12 = CriterionResult(
@@ -511,5 +592,4 @@ def run_suite(
         if echo:
             echo(res12.line())
         results.append(res12)
-    passed = all(r.passed for r in results)
-    return SuiteResult(results=tuple(results), passed=passed)
+    return SuiteResult(results=tuple(results))

@@ -1,9 +1,13 @@
 """Manifest-driven command line harness.
 
 Every command reads one JSON manifest (or builds a default one from flags),
-validates it against a single schema, runs the named verification, and
-writes diff-able CSV/JSON reports stamped with the manifest hash.  Exit
-codes: 0 clean, 1 a verified inequality was violated at runtime (the
+validates it against a single schema, which includes a ``params`` schema per
+command, runs the named verification, and writes diff-able CSV/JSON reports
+stamped with the manifest hash.  The corpus commands ``ot``, ``tlsi-verify``,
+``dirichlet-sharpness``, ``brenier-1d`` and ``lemma1-audit`` run the corpus
+runner of their acceptance criterion (1, 6, 7, 8, 10) on the slice their
+``params`` name, so they report the criterion's rows under its check.
+Exit codes: 0 clean, 1 a verified inequality was violated at runtime (the
 offending record is printed), 2 the manifest failed schema validation
 (printed with JSON-path/field diagnostics).
 """
@@ -19,24 +23,139 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import acceptance, concentration, corpora, functional, geometry, isotropy, transport
-from ._rng import child_seed
-from .errors import ConvexIneqError
+from . import acceptance, concentration, geometry, isotropy, transport
+from .acceptance import SLICE_PARAMS, RunReport
+from .errors import ConvexIneqError, ManifestError
 from .geometry import ball_volume_one, body_from_json, cube_volume_one
 from .reporting import VERSION, manifest_hash, write_csv, write_json
 
-COMMANDS = (
-    "ot",
-    "wasserstein",
-    "isotropy",
-    "tci-bound",
-    "tlsi-verify",
-    "dirichlet-sharpness",
-    "brenier-1d",
-    "concentration",
-    "lemma1-audit",
-    "suite",
-)
+
+def _seed(manifest) -> int:
+    return int(manifest.get("seed", 0))
+
+
+def _ts(manifest) -> float:
+    return float(manifest.get("tolerance_scale", 1.0))
+
+
+def _body(params, key, default):
+    """The body, or list of bodies, that params[key] describes; default if
+    the key is absent."""
+    if key not in params:
+        return default
+    try:
+        if isinstance(params[key], list):
+            return [body_from_json(obj) for obj in params[key]]
+        return body_from_json(params[key])
+    except (AttributeError, KeyError, TypeError, ValueError, ConvexIneqError) as e:
+        raise ManifestError(f"$.params.{key}: not a valid body: {type(e).__name__}: {e}") from None
+
+
+# each handler maps (manifest, params) to a RunReport
+
+
+def _run_ot(manifest, params):
+    return acceptance.ot_corpus(_ts(manifest), oracle=bool(manifest.get("oracle", False)), **params)
+
+
+def _run_tlsi(manifest, params):
+    return acceptance.tlsi_corpus(_ts(manifest), **params)
+
+
+def _run_dirichlet(manifest, params):
+    return acceptance.dirichlet_corpus(_ts(manifest), **params)
+
+
+def _run_brenier(manifest, params):
+    return acceptance.brenier_corpus(_ts(manifest), **params)
+
+
+def _run_lemma1(manifest, params):
+    return acceptance.lemma1_corpus(_ts(manifest), _seed(manifest), **params)
+
+
+def _run_wasserstein(manifest, params):
+    A = _body(params, "body_a", ball_volume_one(2))
+    B = _body(params, "body_b", cube_volume_one(2))
+    p, m, reps = params.get("p", 1), params.get("m", 1024), params.get("reps", 10)
+    est = transport.wasserstein_empirical(A, B, p=p, m=m, seed=_seed(manifest), reps=reps)
+    payload = {"estimate": est.to_json(), "body_a": A.to_json(), "body_b": B.to_json()}
+    return RunReport(("p", "m", "reps", "value", "stderr"), [(p, m, reps, est.value, est.stderr)], [], payload)
+
+
+def _run_isotropy(manifest, params):
+    body = _body(params, "body", geometry.Cube(1.0, 3))
+    report = isotropy.isotropic_position(body, m=params.get("m", 100_000), seed=_seed(manifest))
+    header = ("L", "L_stderr", "isotropy_defect", "fit_count")
+    rows = [(report.L_estimate.value, report.L_estimate.stderr, report.isotropy_defect, report.fit_count)]
+    return RunReport(header, rows, [], {"report": report.to_json()})
+
+
+def _run_tci(manifest, params):
+    B = _body(params, "body", ball_volume_one(2))
+    subs = _body(params, "sub_bodies", None)
+    if subs is None:
+        r = B.support(np.array([1.0] + [0.0] * (B.dim - 1)))
+        subs = [geometry.L1Ball(0.9 * r, B.dim), geometry.Cube(1.2 * r / math.sqrt(B.dim), B.dim)]
+    est, records = transport.tci_tau_records(
+        B, subs, p=params.get("p", 1), m=params.get("m", 1024), seed=_seed(manifest)
+    )
+    header = ("index", "entropy", "w_value", "w_stderr", "tau_bound", "skipped", "reason")
+    rows = [
+        (r["index"], r["entropy"], r["w_value"], r["w_stderr"],
+         math.nan if r["tau_bound"] is None else r["tau_bound"], 1 if r["skipped"] else 0, r["reason"])
+        for r in records
+    ]
+    return RunReport(header, rows, [], {"tau_upper_bound": est.to_json(), "records": records})
+
+
+def _run_concentration(manifest, params):
+    body = _body(params, "body", geometry.Cube(1.0, 2))
+    res = concentration.tau1_proxy(
+        body, m=params.get("m", 50_000), seed=_seed(manifest), extra_directions=params.get("extra_directions", 0)
+    )
+    rows = [row for fit in res.fits for row in fit.csv_rows()]
+    header = ("functional", "t", "raw_tail", "envelope_tail", "usable")
+    payload = {"tau_proxy": res.to_json()["tau_proxy"], "argmin": res.argmin, "body": body.to_json()}
+    return RunReport(header, rows, [], payload)
+
+
+def _run_suite(manifest, params):
+    suite = acceptance.run_suite(seed=_seed(manifest), tolerance_scale=_ts(manifest), echo=print)
+    return RunReport(
+        header=("criterion", "name", "passed", "detail"),
+        rows=[(r.index, r.name, 1 if r.passed else 0, r.detail) for r in suite.results],
+        violations=[
+            {"criterion": r.index, "name": r.name, "detail": r.detail} for r in suite.results if not r.passed
+        ],
+        payload={"passed": suite.passed},
+        tables={f"c{r.index:02d}_{r.name}": (r.header, r.rows) for r in suite.results if r.index <= 11},
+    )
+
+
+_BODY = {"type": "object"}
+_INT = {"type": "integer", "minimum": 1}
+
+# command -> (handler, params properties)
+_COMMANDS = {
+    "ot": (_run_ot, SLICE_PARAMS[acceptance.ot_corpus]),
+    "wasserstein": (_run_wasserstein, {"body_a": _BODY, "body_b": _BODY, "p": _INT, "m": _INT, "reps": _INT}),
+    "isotropy": (_run_isotropy, {"body": _BODY, "m": _INT}),
+    "tci-bound": (
+        _run_tci,
+        {"body": _BODY, "sub_bodies": {"type": "array", "minItems": 1, "items": _BODY}, "p": _INT, "m": _INT},
+    ),
+    "tlsi-verify": (_run_tlsi, SLICE_PARAMS[acceptance.tlsi_corpus]),
+    "dirichlet-sharpness": (_run_dirichlet, SLICE_PARAMS[acceptance.dirichlet_corpus]),
+    "brenier-1d": (_run_brenier, SLICE_PARAMS[acceptance.brenier_corpus]),
+    "concentration": (
+        _run_concentration,
+        {"body": _BODY, "m": _INT, "extra_directions": {"type": "integer", "minimum": 0}},
+    ),
+    "lemma1-audit": (_run_lemma1, SLICE_PARAMS[acceptance.lemma1_corpus]),
+    "suite": (_run_suite, {}),
+}
+COMMANDS = tuple(_COMMANDS)
 
 MANIFEST_SCHEMA = {
     "type": "object",
@@ -46,275 +165,70 @@ MANIFEST_SCHEMA = {
         "command": {"enum": list(COMMANDS)},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
         "oracle": {"type": "boolean"},
         "tolerance_scale": {"type": "number", "minimum": 0},
         "params": {"type": "object"},
     },
+    # each command's params: exactly the keys it reads
+    "allOf": [
+        {
+            "if": {"required": ["command"], "properties": {"command": {"const": name}}},
+            "then": {"properties": {"params": {"additionalProperties": False, "properties": props}}},
+        }
+        for name, (_, props) in _COMMANDS.items()
+    ],
 }
 
-
-class _Violation(Exception):
-    def __init__(self, record):
-        super().__init__("verified inequality violated")
-        self.record = record
-
-
-def _params(manifest):
-    return manifest.get("params", {})
+# "integer" means a JSON number written without a fraction: 2.0 is not a count
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
 
 
-def _body_param(params, key, default):
-    if key in params:
-        return body_from_json(params[key])
-    return default
+def _manifest(args) -> dict:
+    """The manifest from the file and flags; raises ManifestError unless it
+    is a valid one."""
+    manifest = {}
+    if args.manifest:
+        try:
+            manifest = json.loads(Path(args.manifest).read_text())
+        except FileNotFoundError:
+            raise ManifestError(f"manifest file not found: {args.manifest}") from None
+        except json.JSONDecodeError as e:
+            raise ManifestError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+        if not isinstance(manifest, dict):
+            raise ManifestError("$: manifest must be a JSON object")
+    if args.command:
+        if "command" in manifest and manifest["command"] != args.command:
+            raise ManifestError(
+                f"$.command: manifest says {manifest['command']!r} but the "
+                f"command line says {args.command!r}"
+            )
+        manifest["command"] = args.command
+    for key in ("seed", "out", "tolerance_scale"):
+        if getattr(args, key) is not None:
+            manifest[key] = getattr(args, key)
+    if args.oracle:
+        manifest["oracle"] = True
+    errors = sorted(_Validator(MANIFEST_SCHEMA).iter_errors(manifest), key=lambda e: e.json_path)
+    if errors:
+        raise ManifestError("\nschema: ".join(f"{err.json_path}: {err.message}" for err in errors))
+    return manifest
 
 
-# each handler returns (header, rows, payload, violations) where violations
-# is a list of offending row dicts
-
-
-def _run_ot(manifest):
-    params = _params(manifest)
-    count = int(params.get("instances", corpora.OT_INSTANCES))
-    oracle = bool(manifest.get("oracle", False))
-    ts = float(manifest.get("tolerance_scale", 1.0))
-    rows, violations = [], []
-    worst = 0.0
-    for i in range(count):
-        mu, nu, p = corpora.ot_instance(i)
-        plan = transport.exact_ot(mu, nu, p)
-        if oracle:
-            ref = transport.permutation_oracle(mu, nu, p)
-            diff = abs(plan.cost - ref.cost)
-            worst = max(worst, diff)
-            row = (i, p, plan.cost, ref.cost, diff, plan.marginal_residual)
-            if diff > 1e-9 * ts:
-                violations.append({"instance": i, "p": p, "abs_diff": diff, "limit": 1e-9 * ts})
-        else:
-            row = (i, p, plan.cost, math.nan, math.nan, plan.marginal_residual)
-        rows.append(row)
-    header = ("instance", "p", "exact_cost", "oracle_cost", "abs_diff", "marginal_residual")
-    payload = {"instances": count, "oracle": oracle, "max_abs_diff": worst if oracle else None}
-    return header, rows, payload, violations
-
-
-def _run_wasserstein(manifest):
-    params = _params(manifest)
-    A = _body_param(params, "body_a", ball_volume_one(2))
-    B = _body_param(params, "body_b", cube_volume_one(2))
-    p = int(params.get("p", 1))
-    m = int(params.get("m", 1024))
-    reps = int(params.get("reps", 10))
-    seed = int(manifest.get("seed", 0))
-    est = transport.wasserstein_empirical(A, B, p=p, m=m, seed=seed, reps=reps)
-    header = ("p", "m", "reps", "value", "stderr")
-    rows = [(p, m, reps, est.value, est.stderr)]
-    payload = {"estimate": est.to_json(), "body_a": A.to_json(), "body_b": B.to_json()}
-    return header, rows, payload, []
-
-
-def _run_isotropy(manifest):
-    params = _params(manifest)
-    body = _body_param(params, "body", geometry.Cube(1.0, 3))
-    m = int(params.get("m", 100_000))
-    seed = int(manifest.get("seed", 0))
-    report = isotropy.isotropic_position(body, m=m, seed=seed)
-    header = ("L", "L_stderr", "isotropy_defect", "fit_count")
-    rows = [(report.L_estimate.value, report.L_estimate.stderr, report.isotropy_defect, report.fit_count)]
-    payload = {"report": report.to_json()}
-    return header, rows, payload, []
-
-
-def _run_tci(manifest):
-    params = _params(manifest)
-    B = _body_param(params, "body", ball_volume_one(2))
-    if "sub_bodies" in params:
-        subs = [body_from_json(s) for s in params["sub_bodies"]]
-    else:
-        r = B.support(np.array([1.0] + [0.0] * (B.dim - 1)))
-        subs = [geometry.L1Ball(0.9 * r, B.dim), geometry.Cube(1.2 * r / math.sqrt(B.dim), B.dim)]
-    p = int(params.get("p", 1))
-    m = int(params.get("m", 1024))
-    seed = int(manifest.get("seed", 0))
-    est, records = transport.tci_tau_records(B, subs, p=p, m=m, seed=seed)
-    header = ("index", "entropy", "w_value", "w_stderr", "tau_bound", "skipped", "reason")
-    rows = [
-        (
-            r["index"],
-            r["entropy"],
-            r["w_value"],
-            r["w_stderr"],
-            r["tau_bound"] if r["tau_bound"] is not None else math.nan,
-            1 if r["skipped"] else 0,
-            r["reason"],
-        )
-        for r in records
-    ]
-    payload = {"tau_upper_bound": est.to_json(), "records": records}
-    return header, rows, payload, []
-
-
-def _run_tlsi(manifest):
-    params = _params(manifest)
-    ts = float(manifest.get("tolerance_scale", 1.0))
-    names = params.get("domains", ["lshape"])
-    count = int(params.get("count", corpora.TRIG_SEEDS))
-    ps = params.get("ps", [1, 2, 3])
-    resolution = int(params.get("resolution", 24))
-    domains = corpora.domain_set()
-    rows, violations = [], []
-    for name in names:
-        if name not in domains:
-            raise ConvexIneqError(f"unknown corpus domain {name!r}; have {sorted(domains)}")
-        dom = domains[name]
-        for i in range(count):
-            f = corpora.trig_function(dom.dim, i)
-            for p in ps:
-                rep = functional.tlsi_verify(dom, f, float(p), grid_resolution=resolution)
-                viol = rep.slack < -rep.tolerance * ts
-                verdict = "VIOLATION" if viol else "PASS"
-                rows.append(
-                    (name, p, f.label, rep.lhs, rep.grad_term, rep.bdry_term, rep.slack, rep.tolerance, verdict)
-                )
-                if viol:
-                    violations.append(
-                        {"domain": name, "p": p, "f_id": f.label, "slack": rep.slack, "tolerance": rep.tolerance}
-                    )
-    header = ("domain", "p", "f_id", "lhs", "grad_term", "bdry_term", "slack", "tolerance", "verdict")
-    payload = {"instances": len(rows), "violations": len(violations)}
-    return header, rows, payload, violations
-
-
-def _run_dirichlet(manifest):
-    params = _params(manifest)
-    ts = float(manifest.get("tolerance_scale", 1.0))
-    resolution = int(params.get("resolution", 256))
-    cases = (
-        ("disk", geometry.Ball(1.0, 2)),
-        ("square", geometry.Cube(1.0, 2)),
-        ("rect-4x", geometry.apply_affine(geometry.Cube(1.0, 2), np.diag([4.0, 0.25]))),
-    )
-    rows, violations = [], []
-    for name, dom in cases:
-        c = functional.dirichlet_lsi_constants(dom, ("grid", resolution))
-        # the comparison itself: shape term never exceeds the moment term
-        viol = c.ratio > 1.0 + 0.01 * ts
-        rows.append((name, c.prop_constant, c.classical_bound, c.ratio, "VIOLATION" if viol else "PASS"))
-        if viol:
-            violations.append({"domain": name, "ratio": c.ratio})
-    header = ("domain", "prop_constant", "classical_bound", "ratio", "verdict")
-    return header, rows, {"cases": len(rows)}, violations
-
-
-def _run_brenier(manifest):
-    params = _params(manifest)
-    count = int(params.get("count", 20))
-    ps = params.get("ps", [1.5, 2, 3])
-    points = int(params.get("points", 2049))
-    rows, violations = [], []
-    for i in range(count):
-        f = corpora.trig_function(1, i)
-        vals = corpora.brenier_grid(f, points=points)
-        for p in ps:
-            chain = functional.brenier_chain_check_1d(vals, (0.0, 1.0), p=float(p))
-            for s in chain.steps:
-                rows.append((f.label, p, s.name, s.lhs, s.rhs, s.slack, s.tolerance, s.verdict))
-                if s.verdict != "PASS":
-                    violations.append({"f_id": f.label, "p": p, "step": s.name, "slack": s.slack})
-            rows.append((f.label, p, "tv_pushforward", chain.tv_error, 0.0, 0.0, 0.0, "REPORTED"))
-    header = ("f_id", "p", "step", "lhs", "rhs", "slack", "tolerance", "verdict")
-    return header, rows, {"audits": count * len(ps), "violations": len(violations)}, violations
-
-
-def _run_concentration(manifest):
-    params = _params(manifest)
-    body = _body_param(params, "body", geometry.Cube(1.0, 2))
-    m = int(params.get("m", 50_000))
-    extra = int(params.get("extra_directions", 0))
-    seed = int(manifest.get("seed", 0))
-    res = concentration.tau1_proxy(body, m=m, seed=seed, extra_directions=extra)
-    rows = []
-    for fit in res.fits:
-        rows.extend(fit.csv_rows())
-    header = ("functional", "t", "raw_tail", "envelope_tail", "usable")
-    payload = {"tau_proxy": res.to_json()["tau_proxy"], "argmin": res.argmin, "body": body.to_json()}
-    return header, rows, payload, []
-
-
-def _run_lemma1(manifest):
-    params = _params(manifest)
-    which = params.get("pair", "both")
-    m = int(params.get("m", 1024))
-    seed = int(manifest.get("seed", 0))
-    pairs = [(n, K, B) for n, K, B in corpora.audit_pairs() if which in ("both", n)]
-    if not pairs:
-        raise ConvexIneqError(
-            f"unknown audit pair {which!r}; have " + ", ".join(n for n, _, _ in corpora.audit_pairs())
-        )
-    rows, violations = [], []
-    audits = []
-    for idx, (name, K, B) in enumerate(pairs):
-        audit = concentration.lemma1_audit(K, B, m=m, seed=child_seed(seed, 85, idx))
-        audits.append({"pair": name, **audit.to_json()})
-        for s in audit.steps:
-            rows.append((name, s.name, s.lhs, s.rhs, s.stderr, s.verdict))
-            if s.verdict == "VIOLATION":
-                violations.append({"pair": name, "step": s.name, "lhs": s.lhs, "rhs": s.rhs})
-        c = audit.quantities["c_implied"]
-        rows.append((name, "c_implied", c.value, 0.0, c.stderr, "REPORTED"))
-    header = ("pair", "record", "lhs", "rhs", "stderr", "verdict")
-    return header, rows, {"audits": audits}, violations
-
-
-_HANDLERS = {
-    "ot": _run_ot,
-    "wasserstein": _run_wasserstein,
-    "isotropy": _run_isotropy,
-    "tci-bound": _run_tci,
-    "tlsi-verify": _run_tlsi,
-    "dirichlet-sharpness": _run_dirichlet,
-    "brenier-1d": _run_brenier,
-    "concentration": _run_concentration,
-    "lemma1-audit": _run_lemma1,
-}
-
-
-def _run_suite_command(manifest):
-    seed = int(manifest.get("seed", 0))
-    ts = float(manifest.get("tolerance_scale", 1.0))
-    suite = acceptance.run_suite(seed=seed, tolerance_scale=ts, check_determinism=True, echo=print)
-    header = ("criterion", "name", "passed", "detail")
-    rows = [(r.index, r.name, 1 if r.passed else 0, r.detail) for r in suite.results]
-    violations = [
-        {"criterion": r.index, "name": r.name, "detail": r.detail}
-        for r in suite.results
-        if not r.passed
-    ]
-    return header, rows, {"passed": suite.passed}, violations, suite
-
-
-def _emit(manifest, header, rows, payload, out_dir, suite=None):
+def _emit(manifest, report: RunReport):
     command = manifest["command"]
     h = manifest_hash(manifest)
-    if out_dir:
-        out = Path(out_dir)
+    if manifest.get("out"):
+        out = Path(manifest["out"])
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / f"{command}.csv", list(header), rows, manifest_hash=h)
-        write_json(out / f"{command}.json", manifest, payload)
-        if suite is not None:
-            for r in suite.results:
-                if r.index <= 11:
-                    write_csv(out / f"c{r.index:02d}_{r.name}.csv", list(r.header), list(r.rows), manifest_hash=h)
-    print(f"{command}: {len(rows)} records, manifest {h}")
-
-
-def _schema_errors(manifest) -> list[str]:
-    validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
-    return [
-        f"{err.json_path}: {err.message}"
-        for err in sorted(validator.iter_errors(manifest), key=lambda e: e.json_path)
-    ]
+        for name, (header, rows) in {command: (report.header, report.rows), **report.tables}.items():
+            write_csv(out / f"{name}.csv", list(header), list(rows), manifest_hash=h)
+        write_json(out / f"{command}.json", manifest, report.payload)
+    print(f"{command}: {len(report.rows)} records, manifest {h}")
 
 
 def main(argv=None) -> int:
@@ -327,66 +241,25 @@ def main(argv=None) -> int:
     parser.add_argument("--manifest", help="path to a JSON manifest")
     parser.add_argument("--seed", type=int, help="master seed (overrides manifest)")
     parser.add_argument("--out", help="output directory for CSV/JSON reports")
-    parser.add_argument("--workers", type=int, help="worker pool size hint")
     parser.add_argument("--oracle", action="store_true", help="enable brute-force cross-checks")
     parser.add_argument("--tolerance-scale", type=float, help="multiply all acceptance tolerances")
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     args = parser.parse_args(argv)
 
-    manifest = {}
-    if args.manifest:
-        try:
-            manifest = json.loads(Path(args.manifest).read_text())
-        except FileNotFoundError:
-            print(f"schema: manifest file not found: {args.manifest}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as e:
-            print(f"schema: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
-            return 2
-        if not isinstance(manifest, dict):
-            print("schema: $: manifest must be a JSON object", file=sys.stderr)
-            return 2
-    if args.command:
-        if "command" in manifest and manifest["command"] != args.command:
-            print(
-                f"schema: $.command: manifest says {manifest['command']!r} but the "
-                f"command line says {args.command!r}",
-                file=sys.stderr,
-            )
-            return 2
-        manifest["command"] = args.command
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    if args.out is not None:
-        manifest["out"] = args.out
-    if args.workers is not None:
-        manifest["workers"] = args.workers
-    if args.oracle:
-        manifest["oracle"] = True
-    if args.tolerance_scale is not None:
-        manifest["tolerance_scale"] = args.tolerance_scale
-
-    errors = _schema_errors(manifest)
-    if errors:
-        for e in errors:
-            print(f"schema: {e}", file=sys.stderr)
-        return 2
-
-    command = manifest["command"]
-    out_dir = manifest.get("out")
     try:
-        if command == "suite":
-            header, rows, payload, violations, suite = _run_suite_command(manifest)
-            _emit(manifest, header, rows, payload, out_dir, suite=suite)
-        else:
-            header, rows, payload, violations = _HANDLERS[command](manifest)
-            _emit(manifest, header, rows, payload, out_dir)
+        manifest = _manifest(args)
+        handler, _ = _COMMANDS[manifest["command"]]
+        report = handler(manifest, manifest.get("params", {}))
+        _emit(manifest, report)
+    except ManifestError as e:
+        print(f"schema: {e}", file=sys.stderr)
+        return 2
     except ConvexIneqError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if violations:
-        print(f"{len(violations)} violation(s); first offending record:", file=sys.stderr)
-        print(json.dumps(violations[0], indent=2, default=str), file=sys.stderr)
+    if report.violations:
+        print(f"{len(report.violations)} violation(s); first offending record:", file=sys.stderr)
+        print(json.dumps(report.violations[0], indent=2, default=str), file=sys.stderr)
         return 1
     return 0
 

@@ -28,24 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, isotropy, transport
-from ._rng import child_seed, rng_for
+from ._rng import Purpose, child_seed, rng_for
 from .errors import NotNormalizedError, SamplingError
 from .estimate import Estimate, combined_stderr
 from .geometry import Domain
 from .sampling import estimate_mean_norm_p, sample_uniform
-
-_PURPOSE_PROFILE = 50
-_PURPOSE_TAU = 51
-_PURPOSE_TAU_DIRS = 52
-_AUDIT_MEAN_K = 53
-_AUDIT_MEAN_B = 54
-_AUDIT_SQ_K = 55
-_AUDIT_SQ_B = 56
-_AUDIT_ENTROPY = 57
-_AUDIT_LK = 58
-_AUDIT_TAU = 59
-_AUDIT_W1 = 60
-_AUDIT_ISO_CHECK = 61
 
 _MIN_EXCEEDANCES = 30
 
@@ -220,7 +207,7 @@ def concentration_profile(
     construction."""
     if m < 10_000:
         raise SamplingError(f"tail estimation needs at least 10^4 samples, got {m}")
-    cloud = sample_uniform(body, m, child_seed(seed, _PURPOSE_PROFILE))
+    cloud = sample_uniform(body, m, child_seed(seed, Purpose.PROFILE))
     values = np.asarray(F(cloud.points), dtype=float)
     if values.shape != (m,):
         raise SamplingError("functional must map (m, n) points to m scalar values")
@@ -255,11 +242,11 @@ def tau1_proxy(
     """
     if m < 10_000:
         raise SamplingError(f"tail estimation needs at least 10^4 samples, got {m}")
-    cloud = sample_uniform(body, m, child_seed(seed, _PURPOSE_TAU))
+    cloud = sample_uniform(body, m, child_seed(seed, Purpose.TAU))
     probes = [coordinate_functional(i) for i in range(body.dim)]
     probes.append(norm_functional())
     if extra_directions > 0:
-        g = rng_for(seed, _PURPOSE_TAU_DIRS)
+        g = rng_for(seed, Purpose.TAU_DIRS)
         for _ in range(extra_directions):
             probes.append(direction_functional(g.standard_normal(body.dim)))
     fits = []
@@ -373,7 +360,7 @@ def lemma1_audit(
     # the precondition is on B itself, so measure its raw covariance; the
     # defect reported by isotropic_position describes the fitted cloud and
     # is small for any body
-    check = sample_uniform(B, probe_m, child_seed(seed, _AUDIT_ISO_CHECK))
+    check = sample_uniform(B, probe_m, child_seed(seed, Purpose.AUDIT_ISO_CHECK))
     mu_B, cov_B = isotropy.covariance(check)
     eigs = np.linalg.eigvalsh(cov_B)
     defect = float(eigs[-1] / eigs[0] - 1.0)
@@ -386,21 +373,21 @@ def lemma1_audit(
         raise NotNormalizedError(
             f"B must be centered; estimated barycenter norm {float(np.linalg.norm(mu_B)):.3e}"
         )
-    vol_B = geometry.volume_with_error(B, seed=child_seed(seed, _AUDIT_ISO_CHECK, 1))
+    vol_B = geometry.volume_with_error(B, seed=child_seed(seed, Purpose.AUDIT_ISO_CHECK, 1))
     if abs(vol_B.value - 1.0) > 0.02 + 4.0 * vol_B.stderr:
         raise NotNormalizedError(f"B must have volume one; estimated {vol_B.value:.4f}")
 
     # containment certificate comes with the entropy
-    H = isotropy.relative_entropy_uniform(K, B, m=10_000, seed=child_seed(seed, _AUDIT_ENTROPY))
+    H = isotropy.relative_entropy_uniform(K, B, m=10_000, seed=child_seed(seed, Purpose.AUDIT_ENTROPY))
     v = math.exp(H / n)
 
-    mean_K = estimate_mean_norm_p(K, 1, probe_m, child_seed(seed, _AUDIT_MEAN_K))
-    mean_B = estimate_mean_norm_p(B, 1, probe_m, child_seed(seed, _AUDIT_MEAN_B))
-    sq_K = _mean_sq_norm(K, probe_m, child_seed(seed, _AUDIT_SQ_K))
-    sq_B = _mean_sq_norm(B, probe_m, child_seed(seed, _AUDIT_SQ_B))
-    w1 = transport.wasserstein_empirical(K, B, p=1, m=m, seed=child_seed(seed, _AUDIT_W1))
-    tau = tau1_proxy(B, m=tau_m, seed=child_seed(seed, _AUDIT_TAU)).estimate
-    L_K = isotropy.isotropic_constant(K, m=probe_m, seed=child_seed(seed, _AUDIT_LK))
+    mean_K = estimate_mean_norm_p(K, 1, probe_m, child_seed(seed, Purpose.AUDIT_MEAN_K))
+    mean_B = estimate_mean_norm_p(B, 1, probe_m, child_seed(seed, Purpose.AUDIT_MEAN_B))
+    sq_K = _mean_sq_norm(K, probe_m, child_seed(seed, Purpose.AUDIT_SQ_K))
+    sq_B = _mean_sq_norm(B, probe_m, child_seed(seed, Purpose.AUDIT_SQ_B))
+    w1 = transport.wasserstein_empirical(K, B, p=1, m=m, seed=child_seed(seed, Purpose.AUDIT_W1))
+    tau = tau1_proxy(B, m=tau_m, seed=child_seed(seed, Purpose.AUDIT_TAU)).estimate
+    L_K = isotropy.isotropic_constant(K, m=probe_m, seed=child_seed(seed, Purpose.AUDIT_LK))
 
     # sqrt(E|x|^2) with a delta-method stderr
     root_sq_B = Estimate(

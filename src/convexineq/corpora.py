@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._rng import rng_for
+from ._rng import Purpose, rng_for
 from .functional import TestFunction, random_trig, shift_positive
 from .geometry import (
     Ball,
@@ -24,10 +24,6 @@ from .geometry import (
 )
 from .transport import DiscreteMeasure
 
-_PURPOSE_OT = 70
-_PURPOSE_SINKHORN = 71
-_PURPOSE_NESTED = 72
-
 OT_INSTANCES = 500
 SINKHORN_INSTANCES = 50
 TRIG_SEEDS = 100
@@ -37,7 +33,7 @@ def ot_instance(index: int) -> tuple[DiscreteMeasure, DiscreteMeasure, int]:
     """Seeded random 7-point uniform planar OT instance; p alternates 1, 2."""
     if not 0 <= index < OT_INSTANCES:
         raise ValueError(f"OT corpus has indices 0..{OT_INSTANCES - 1}, got {index}")
-    g = rng_for(7001, _PURPOSE_OT, rep=index)
+    g = rng_for(7001, Purpose.CORPUS_OT, rep=index)
     mu = DiscreteMeasure.uniform(g.random((7, 2)))
     nu = DiscreteMeasure.uniform(g.random((7, 2)))
     return mu, nu, 1 if index % 2 == 0 else 2
@@ -47,7 +43,7 @@ def sinkhorn_instance(index: int) -> tuple[DiscreteMeasure, DiscreteMeasure, int
     """Seeded random 100-point uniform planar instance; p alternates 1, 2."""
     if not 0 <= index < SINKHORN_INSTANCES:
         raise ValueError(f"sinkhorn corpus has indices 0..{SINKHORN_INSTANCES - 1}, got {index}")
-    g = rng_for(7002, _PURPOSE_SINKHORN, rep=index)
+    g = rng_for(7002, Purpose.CORPUS_SINKHORN, rep=index)
     mu = DiscreteMeasure.uniform(g.random((100, 2)))
     nu = DiscreteMeasure.uniform(g.random((100, 2)))
     return mu, nu, 1 if index % 2 == 0 else 2
@@ -81,7 +77,7 @@ def nested_pairs() -> list[tuple[str, Domain, Domain]]:
     Radii come from a fixed stream; containment is by construction (same
     center, inner body scaled inside the outer one's inscribed copy).
     """
-    g = rng_for(7003, _PURPOSE_NESTED)
+    g = rng_for(7003, Purpose.CORPUS_NESTED)
     pairs = []
     for i in range(20):
         n = 1 + i % 3

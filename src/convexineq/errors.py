@@ -37,7 +37,8 @@ class ChainStuckError(SamplingError):
 
 
 class NotNormalizedError(ConvexIneqError):
-    """Weights of a discrete measure do not sum to one."""
+    """A discrete measure is malformed: weights that do not sum to one, or a
+    support point or weight that is not finite."""
 
 
 class SolverError(ConvexIneqError):

@@ -36,8 +36,6 @@ chain using the pushforward identity for the q-th moment of T.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +43,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from . import geometry
-from ._rng import child_seed, rng_for
+from ._rng import Purpose, child_seed, rng_for
 from .errors import (
     DimensionMismatchError,
     FunctionalDomainError,
@@ -53,12 +51,8 @@ from .errors import (
 )
 from .estimate import Estimate
 from .geometry import Domain, interval_bounds, unit_ball_volume
+from .reporting import canonical_hash
 from .sampling import sample_uniform
-
-_PURPOSE_MC = 40
-_PURPOSE_KLS = 44
-_PURPOSE_TRIG = 46
-
 
 # -- test functions ----------------------------------------------------------
 
@@ -190,8 +184,7 @@ class TestFunction:
         }
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return canonical_hash(self.to_json())[:16]
 
 
 def polynomial(terms, dim: int, label: str = "") -> TestFunction:
@@ -234,7 +227,7 @@ def random_trig(
     Coefficients are standard normal damped by 1/(1 + |k|^2) so the family
     stays smooth at the scale of the acceptance domains.
     """
-    g = rng_for(seed, _PURPOSE_TRIG)
+    g = rng_for(seed, Purpose.TRIG)
     terms = []
     for _ in range(n_terms):
         while True:
@@ -302,7 +295,7 @@ def _context(f: TestFunction, body: Domain, m_or_grid, seed: int) -> _EvalContex
     if mode == "grid":
         nodes, w = geometry.interior_quadrature(body, value)
         return _EvalContext("grid", nodes, w / w.sum(), nodes.shape[0])
-    cloud = sample_uniform(body, value, child_seed(seed, _PURPOSE_MC))
+    cloud = sample_uniform(body, value, child_seed(seed, Purpose.FUNCTIONAL_MC))
     return _EvalContext("mc", cloud.points, cloud.weights, value)
 
 
@@ -390,7 +383,7 @@ def kls_quantity(body: Domain, m: int = 100_000, seed: int = 0) -> Estimate:
     The spectral gap of a convex body is bounded below by an absolute
     constant times this quantity; the constant is not applied here.
     """
-    cloud = sample_uniform(body, m, child_seed(seed, _PURPOSE_KLS))
+    cloud = sample_uniform(body, m, child_seed(seed, Purpose.KLS))
     mu = cloud.weights @ cloud.points
     sq = ((cloud.points - mu) ** 2).sum(axis=1)
     s = float(sq.mean())
@@ -612,7 +605,7 @@ def dirichlet_lsi_constants(domain: Domain, m_or_grid=64, seed: int = 0) -> Diri
         se = 0.0
         count = nodes.shape[0]
     else:
-        cloud = sample_uniform(domain, value, child_seed(seed, 45))
+        cloud = sample_uniform(domain, value, child_seed(seed, Purpose.DIRICHLET_MC))
         vol = geometry.volume_with_error(domain, mc_samples=max(value, 100_000), seed=seed).value
         centroid = cloud.weights @ cloud.points
         spread = float(np.linalg.norm(cloud.points.std(axis=0, ddof=1)))

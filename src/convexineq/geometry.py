@@ -19,9 +19,10 @@ Conventions used throughout:
 * ``boundary_quadrature`` returns nodes, outward unit normals, and weights
   summing to the exact surface measure.  In one dimension the boundary
   measure is counting measure, so each endpoint has weight one.
-* A body is not changed after construction, so each quadrature mesh is built
-  once per body object and resolution and kept on the object; every call
-  after the first returns the same read-only arrays.
+* A body cannot be changed after construction (its attributes and arrays
+  are read-only), so each quadrature mesh is built once per body object and
+  resolution and kept on the object; every call after the first returns the
+  same read-only arrays.
 
 Serialization is canonical JSON; a body's fingerprint is the SHA-256 of that
 form, computed once per body object, and is used to tie sampled point clouds
@@ -31,8 +32,6 @@ back to the body they came from.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,7 +47,8 @@ from .errors import (
     UnboundedBodyError,
 )
 from .estimate import Estimate
-from ._rng import rng_for
+from ._rng import CHUNK, Purpose, rng_for
+from .reporting import canonical_hash
 
 _DET_FLOOR = 1e-12
 
@@ -119,10 +119,6 @@ class AffineMap:
     def to_json(self) -> dict:
         return {"linear": self.linear.tolist(), "shift": self.shift.tolist()}
 
-    @staticmethod
-    def from_json(obj: dict) -> "AffineMap":
-        return AffineMap(np.asarray(obj["linear"], float), np.asarray(obj["shift"], float))
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
@@ -158,17 +154,29 @@ class BoundaryMesh:
 
 class _Region:
     """What every domain shares: identity by canonical JSON, the quadrature
-    hooks, and the caches of what is derived from the immutable body."""
+    hooks, and the caches of what is derived from the immutable body.
+
+    Attributes are read-only once set, so a cached fingerprint or mesh can
+    never go stale; the caches themselves are written by ``cached_property``
+    straight into ``__dict__``.
+    """
 
     dim: int
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ or hasattr(type(self), name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
     @functools.cached_property
     def _fingerprint(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_hash(self.to_json())
 
     def fingerprint(self) -> str:
         return self._fingerprint
@@ -345,7 +353,7 @@ class Ball(ConvexBody):
         # High dimensions: equal-weight points drawn from a stream keyed by
         # (dim, resolution) so the mesh is deterministic without a seed input.
         m = 2 * resolution * resolution
-        g = rng_for(1000003 * n + resolution, purpose=7)
+        g = rng_for(1000003 * n + resolution, Purpose.SPHERE_MESH)
         z = g.standard_normal((m, n))
         normals = z / np.linalg.norm(z, axis=1, keepdims=True)
         nodes = r * normals
@@ -541,7 +549,7 @@ class HPolytope(ConvexBody):
             raise DegenerateBodyError(
                 f"polytope has empty interior (inscribed radius {radius:.3e})"
             )
-        return center, float(radius)
+        return _read_only(center), float(radius)
 
     def _compute_bbox(self):
         n = self.dim
@@ -560,7 +568,7 @@ class HPolytope(ConvexBody):
                 if not res.success:
                     raise DegenerateBodyError(f"support program failed: {res.message}")
                 out[i] = sign * (-res.fun)
-        return lo, hi
+        return _read_only(lo), _read_only(hi)
 
     @property
     def chebyshev_center(self) -> np.ndarray:
@@ -734,8 +742,8 @@ class RectUnion(_Region):
     def __init__(self, rects):
         parsed = []
         for lo, hi in rects:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
+            lo = _read_only(np.array(lo, dtype=float))
+            hi = _read_only(np.array(hi, dtype=float))
             if lo.shape != (2,) or hi.shape != (2,):
                 raise DimensionMismatchError("rect union rectangles must be 2-D")
             if not np.all(hi > lo):
@@ -751,7 +759,7 @@ class RectUnion(_Region):
                     raise DegenerateBodyError(
                         f"rectangles {i} and {j} have overlapping interiors"
                     )
-        self.rects = parsed
+        self.rects = tuple(parsed)
 
     def contains_many(self, points, tol=0.0):
         pts = _check_point_shape(self, points)
@@ -1021,11 +1029,9 @@ def volume_with_error(
     hits = 0
     done = 0
     idx = 0
-    from ._rng import CHUNK
-
     while done < mc_samples:
         take = min(CHUNK, mc_samples - done)
-        g = rng_for(seed, purpose=6, chunk=idx)
+        g = rng_for(seed, Purpose.VOLUME_MC, chunk=idx)
         pts = lo + (hi - lo) * g.random((take, body.dim))
         hits += int(body.contains_many(pts).sum())
         done += take

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._rng import child_seed, rng_for
+from ._rng import Purpose, child_seed, rng_for
 from .errors import (
     ContainmentError,
     DegenerateBodyError,
@@ -35,13 +35,6 @@ from .errors import (
 from .estimate import Estimate
 from .geometry import AffineImage, AffineMap, Ball, ConvexBody, Cube, Domain, L1Ball
 from .sampling import PointCloud, sample_uniform
-
-_PURPOSE_FIT = 10
-_PURPOSE_VALIDATE = 11
-_PURPOSE_VOLUME = 12
-_PURPOSE_NET = 13
-_PURPOSE_CERT = 14
-
 
 def covariance(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """Weighted barycenter and covariance of a point cloud.
@@ -96,13 +89,13 @@ class IsotropyReport:
 def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> IsotropyReport:
     """Fit the map to isotropic position and validate it out of sample."""
     n = body.dim
-    fit_cloud = sample_uniform(body, m, child_seed(seed, _PURPOSE_FIT))
+    fit_cloud = sample_uniform(body, m, child_seed(seed, Purpose.ISO_FIT))
     mu, cov = covariance(fit_cloud)
     vals, vecs = np.linalg.eigh(cov)
     whiten = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     det_w = float(np.prod(1.0 / np.sqrt(vals)))
     vol_est = geometry.volume_with_error(
-        body, mc_samples=max(m, 100_000), seed=child_seed(seed, _PURPOSE_VOLUME)
+        body, mc_samples=max(m, 100_000), seed=child_seed(seed, Purpose.ISO_VOLUME)
     )
     if vol_est.value <= 0:
         raise DegenerateBodyError("volume estimate is nonpositive")
@@ -110,7 +103,7 @@ def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Iso
     linear = scale * whiten
     transform = AffineMap(linear, -linear @ mu)
 
-    check_cloud = sample_uniform(body, m, child_seed(seed, _PURPOSE_VALIDATE))
+    check_cloud = sample_uniform(body, m, child_seed(seed, Purpose.ISO_VALIDATE))
     mapped = transform.apply(check_cloud.points)
     sq = (mapped**2).sum(axis=1)
     q = float(sq.mean())
@@ -205,13 +198,13 @@ def inscribe_scale(B: Domain, K: Domain, *, m: int = 10_000, seed: int = 0) -> f
     if sb is not None and sk is not None:
         (nb, cb), (nk, ck) = sb, sk
         return (cb / ck) * _norm_ratio_min(nb, nk, n)
-    g = rng_for(seed, _PURPOSE_NET)
+    g = rng_for(seed, Purpose.ISO_NET)
     dirs = g.standard_normal((4096, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.concatenate([np.eye(n), -np.eye(n), np.ones((1, n)) / math.sqrt(n)])
     dirs = np.concatenate([axes, dirs])
     t = min(geometry.support(B, u) / max(geometry.support(K, u), 1e-300) for u in dirs)
-    cloud = sample_uniform(K, m, child_seed(seed, _PURPOSE_CERT))
+    cloud = sample_uniform(K, m, child_seed(seed, Purpose.ISO_CERT))
 
     def certified(scale: float) -> bool:
         return bool(np.all(B.contains_many(scale * cloud.points, tol=1e-9)))
@@ -250,8 +243,9 @@ def volume_ratio(
     if B.dim != K.dim:
         raise DimensionMismatchError(f"bodies live in dimensions {B.dim} and {K.dim}")
     n = B.dim
-    vol_b = geometry.volume_with_error(B, mc_samples=max(m, 100_000), seed=child_seed(seed, 21))
-    vol_k = geometry.volume_with_error(K, mc_samples=max(m, 100_000), seed=child_seed(seed, 22))
+    mc = max(m, 100_000)
+    vol_b = geometry.volume_with_error(B, mc_samples=mc, seed=child_seed(seed, Purpose.RATIO_VOLUME_B))
+    vol_k = geometry.volume_with_error(K, mc_samples=mc, seed=child_seed(seed, Purpose.RATIO_VOLUME_K))
     if mode == "concentric_scaling":
         _require_centered(B, m, seed)
         _require_centered(K, m, seed)
@@ -262,7 +256,7 @@ def volume_ratio(
     elif mode == "given_map":
         if map is None:
             raise SamplingError("mode 'given_map' requires a map")
-        cloud = sample_uniform(K, m, child_seed(seed, _PURPOSE_CERT))
+        cloud = sample_uniform(K, m, child_seed(seed, Purpose.ISO_CERT))
         image = map.apply(cloud.points)
         ok = B.contains_many(image, tol=1e-9)
         if not np.all(ok):
@@ -291,7 +285,7 @@ def _require_centered(body: Domain, m: int, seed: int) -> None:
         if float(np.linalg.norm(body.map.shift)) <= 1e-9 * diam:
             return
         raise DegenerateBodyError("concentric scaling requires an origin-centered body")
-    cloud = sample_uniform(body, max(m, 4096), child_seed(seed, 23))
+    cloud = sample_uniform(body, max(m, 4096), child_seed(seed, Purpose.CENTERED_CHECK))
     mu = cloud.weights @ cloud.points
     se = float(np.linalg.norm(cloud.points.std(axis=0, ddof=1))) / math.sqrt(cloud.count)
     if float(np.linalg.norm(mu)) > max(4.0 * se, 0.01 * diam):
@@ -309,15 +303,16 @@ def relative_entropy_uniform(K: Domain, B: Domain, *, m: int = 10_000, seed: int
     """
     if B.dim != K.dim:
         raise DimensionMismatchError(f"bodies live in dimensions {B.dim} and {K.dim}")
-    cloud = sample_uniform(K, m, child_seed(seed, _PURPOSE_CERT))
+    cloud = sample_uniform(K, m, child_seed(seed, Purpose.ISO_CERT))
     ok = B.contains_many(cloud.points, tol=1e-9)
     if not np.all(ok):
         witness = cloud.points[~ok][0]
         raise ContainmentError(
             f"inner body is not contained in the outer body: witness {witness.tolist()}"
         )
-    vol_k = geometry.volume_with_error(K, mc_samples=max(m, 100_000), seed=child_seed(seed, 24))
-    vol_b = geometry.volume_with_error(B, mc_samples=max(m, 100_000), seed=child_seed(seed, 25))
+    mc = max(m, 100_000)
+    vol_k = geometry.volume_with_error(K, mc_samples=mc, seed=child_seed(seed, Purpose.ENTROPY_VOLUME_K))
+    vol_b = geometry.volume_with_error(B, mc_samples=mc, seed=child_seed(seed, Purpose.ENTROPY_VOLUME_B))
     if vol_k.value <= 0 or vol_b.value <= 0:
         raise DegenerateBodyError("volume estimates must be positive")
     return float(math.log(vol_b.value / vol_k.value))

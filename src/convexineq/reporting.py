@@ -74,8 +74,14 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
+def canonical_hash(obj) -> str:
+    """SHA-256 hex digest of the canonical JSON form: the one hash behind
+    body and test-function fingerprints and manifest hashes."""
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
 def manifest_hash(manifest: dict) -> str:
-    return hashlib.sha256(canonical_json(manifest).encode()).hexdigest()[:16]
+    return canonical_hash(manifest)[:16]
 
 
 def report_envelope(manifest: dict, payload: dict) -> dict:

@@ -25,15 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._rng import CHUNK, chunked, rng_for
+from ._rng import CHUNK, Purpose, chunked, rng_for
 from .errors import ChainStuckError, SamplingError
 from .estimate import Estimate
 from .geometry import AffineImage, Ball, ConvexBody, Cube, Domain, HPolytope, L1Ball, RectUnion
-
-_PURPOSE_DIRECT = 1
-_PURPOSE_CHAIN = 2
-_PURPOSE_CHECK = 9
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -147,12 +142,12 @@ def sample_uniform(body: Domain, m: int, seed: int) -> PointCloud:
             def make(g, count):
                 return amap.apply(base_make(g, count))
 
-            pts = chunked(seed, _PURPOSE_DIRECT, 0, m, make)
+            pts = chunked(seed, Purpose.SAMPLE_DIRECT, 0, m, make)
             return _finish(body, pts, seed, "direct")
         return hit_and_run(body, m, seed)
     kernel = _direct_kernel(body)
     if kernel is not None:
-        pts = chunked(seed, _PURPOSE_DIRECT, 0, m, kernel)
+        pts = chunked(seed, Purpose.SAMPLE_DIRECT, 0, m, kernel)
         return _finish(body, pts, seed, "direct")
     return hit_and_run(body, m, seed)
 
@@ -160,7 +155,7 @@ def sample_uniform(body: Domain, m: int, seed: int) -> PointCloud:
 def _finish(body, pts, seed, sampler) -> PointCloud:
     m = pts.shape[0]
     k = max(1, math.ceil(m / 100))
-    g = rng_for(seed, _PURPOSE_CHECK)
+    g = rng_for(seed, Purpose.SAMPLE_CHECK)
     idx = g.choice(m, size=min(k, m), replace=False)
     ok = body.contains_many(pts[idx], tol=1e-9)
     if not np.all(ok):
@@ -263,7 +258,7 @@ def hit_and_run(
 
     chains = min(64, m)
     per_chain = math.ceil(m / chains)
-    g = rng_for(seed, _PURPOSE_CHAIN)
+    g = rng_for(seed, Purpose.SAMPLE_CHAIN)
     x = np.tile(start, (chains, 1))
     kept = np.empty((chains, per_chain, n))
     stuck = np.zeros(chains, dtype=int)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from ._rng import child_seed
+from ._rng import Purpose, child_seed
 from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
@@ -59,15 +59,15 @@ _KERNEL_FLOOR = 1e-250
 # iterations an intermediate ladder rung may take before the ladder moves on:
 # where plain updates stall, the final rung's over-relaxed ones do better
 _RUNG_ITERS = 200
-_PURPOSE_EMP = 30
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure.
 
-    Weights must sum to one within 1e-9.  Support points closer than 1e-12
-    are merged at construction with summed weights.
+    Support points and weights must be finite, and the weights must sum to
+    one within 1e-9.  Support points closer than 1e-12 are merged at
+    construction with summed weights.
     """
 
     support: np.ndarray
@@ -80,6 +80,8 @@ class DiscreteMeasure:
             raise DimensionMismatchError("support and weights lengths differ")
         if pts.shape[0] == 0:
             raise NotNormalizedError("support must be nonempty")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise NotNormalizedError("support points and weights must be finite")
         if np.any(w < 0):
             raise NotNormalizedError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -450,8 +452,8 @@ def wasserstein_empirical(
         raise DimensionMismatchError(f"bodies live in dimensions {A.dim} and {B.dim}")
     vals = np.empty(reps)
     for r in range(reps):
-        ca = sample_uniform(A, m, child_seed(seed, _PURPOSE_EMP, 2 * r))
-        cb = sample_uniform(B, m, child_seed(seed, _PURPOSE_EMP, 2 * r + 1))
+        ca = sample_uniform(A, m, child_seed(seed, Purpose.EMPIRICAL_W, 2 * r))
+        cb = sample_uniform(B, m, child_seed(seed, Purpose.EMPIRICAL_W, 2 * r + 1))
         plan = exact_ot(DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb), p)
         vals[r] = plan.cost ** (1.0 / p)
     return Estimate(
@@ -509,8 +511,8 @@ def tci_tau_records(
     records = []
     best: tuple[float, float] | None = None
     for idx, K in enumerate(sub_bodies):
-        h = relative_entropy_uniform(K, B, m=max(m, 4096), seed=child_seed(seed, 31, idx))
-        w = wasserstein_empirical(K, B, p=p, m=m, seed=child_seed(seed, 32, idx))
+        h = relative_entropy_uniform(K, B, m=max(m, 4096), seed=child_seed(seed, Purpose.TCI_ENTROPY, idx))
+        w = wasserstein_empirical(K, B, p=p, m=m, seed=child_seed(seed, Purpose.TCI_W, idx))
         rec = {
             "index": idx,
             "entropy": h,

@@ -1,9 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from convexineq import cli, reporting
+from convexineq import acceptance, cli, corpora, reporting
 
 
 # -- reporting primitives --------------------------------------------------------
@@ -41,6 +42,10 @@ def test_manifest_hash_stable():
     assert h1 == h2
     assert len(h1) == 16
     assert h1 != reporting.manifest_hash({"command": "ot", "seed": 1})
+
+
+def test_manifest_hash_pinned():
+    assert reporting.manifest_hash({"command": "ot", "seed": 0, "params": {"instances": 5}}) == "ce8e08de6c46633b"
 
 
 def test_report_envelope_fields():
@@ -185,3 +190,67 @@ def test_flags_override_manifest(tmp_path, capsys):
     env = json.loads((out / "ot.json").read_text())
     assert env["seed"] == 5
     assert env["manifest"]["out"] == str(out)
+
+
+# -- params validation -----------------------------------------------------------------
+
+
+def test_unknown_params_key_rejected(tmp_path, capsys):
+    manifest = {"command": "tlsi-verify", "params": {"domains": ["interval"], "count": 1, "resoluton": 48}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "$.params" in err and "resoluton" in err
+
+
+def test_out_of_range_corpus_size_rejected(tmp_path, capsys):
+    manifest = {"command": "ot", "params": {"instances": 600}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.instances" in capsys.readouterr().err
+
+
+def test_fractional_count_rejected(tmp_path, capsys):
+    manifest = {"command": "brenier-1d", "params": {"count": 2.0}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.count" in capsys.readouterr().err
+
+
+def test_malformed_body_param_rejected(tmp_path, capsys):
+    manifest = {"command": "isotropy", "params": {"body": {"variant": "ball", "dim": 2}}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.body" in capsys.readouterr().err
+
+
+def test_workers_key_and_flag_rejected(tmp_path, capsys):
+    assert cli.main(["--manifest", _write(tmp_path, {"command": "ot", "workers": 2})]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ot", "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_slice_params_are_runner_arguments_with_defaults():
+    for runner, props in acceptance.SLICE_PARAMS.items():
+        args = inspect.signature(runner).parameters
+        assert all(args[key].default is not inspect.Parameter.empty for key in props), runner.__name__
+
+
+# -- the CLI corpus commands report their criterion's rows ------------------------------
+
+SHARED = [
+    ({"command": "ot", "oracle": True, "params": {"instances": 5}}, acceptance.criterion_1),
+    ({"command": "tlsi-verify", "params": {"domains": ["interval"], "count": 2}}, acceptance.criterion_6),
+    ({"command": "dirichlet-sharpness"}, acceptance.criterion_7),
+    ({"command": "brenier-1d", "params": {"count": 2}}, acceptance.criterion_8),
+    ({"command": "lemma1-audit", "params": {"pair": "l1-in-D2"}}, acceptance.criterion_10),
+]
+
+
+@pytest.mark.parametrize("manifest,criterion", SHARED, ids=[m["command"] for m, _ in SHARED])
+def test_cli_rows_are_the_criterion_rows(tmp_path, monkeypatch, manifest, criterion):
+    # criterion 10 on its first pair only, which is the pair the CLI slice names
+    first_pair = corpora.audit_pairs()[:1]
+    monkeypatch.setattr(corpora, "audit_pairs", lambda: first_pair)
+    out = tmp_path / "out"
+    assert cli.main(["--manifest", _write(tmp_path, {**manifest, "out": str(out)})]) == 0
+    lines = (out / f"{manifest['command']}.csv").read_text().splitlines()[1:]
+    assert len(lines) > 1
+    assert lines == criterion(0, 1.0).csv().splitlines()[: len(lines)]

@@ -11,6 +11,7 @@ from convexineq import (
     DimensionMismatchError,
     FunctionalDomainError,
     QuadratureUnsupportedError,
+    corpora,
     functional,
     geometry,
 )
@@ -396,3 +397,9 @@ def test_brenier_input_validation():
 def test_brenier_accepts_body_domain():
     chain = functional.brenier_chain_check_1d(np.ones(33), INTERVAL, p=2.0)
     assert chain.passed()
+
+
+def test_test_function_fingerprint_pinned():
+    """16 hex digits of the SHA-256 of the canonical JSON form."""
+    assert corpora.trig_function(2, 3).fingerprint() == "d103f7835b6b74b3"
+    assert functional.polynomial([(0.5, (0,)), (0.2, (1,))], 1).fingerprint() == "de0a326faaf41720"

@@ -253,3 +253,50 @@ def test_fingerprint_computed_once_per_object():
     assert fp == geometry.fingerprint(Ball(1.25, 3))
     assert body == Ball(1.25, 3) and hash(body) == hash(Ball(1.25, 3))
     assert LSHAPE == RectUnion(LSHAPE.rects) and LSHAPE != Ball(1.0, 2)
+
+
+def test_body_attributes_are_read_only_once_set():
+    """A body cached meshes and a fingerprint on first use, so changing it
+    afterwards would leave both stale; every attribute is read-only."""
+    b = Ball(1.0, 2)
+    geometry.interior_quadrature(b, 8)
+    with pytest.raises(AttributeError):
+        b.radius = 2.0
+    with pytest.raises(AttributeError):
+        del b.radius
+    assert b.volume_closed_form() == pytest.approx(math.pi)
+    with pytest.raises(AttributeError):
+        LSHAPE.dim = 3
+    poly = CACHED_BODIES[8]
+    image = CACHED_BODIES[9]
+    for arr in (poly.A, poly.b, image.map.linear, image.map.shift, LSHAPE.rects[0][0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        image.base = Ball(3.0, 2)
+
+
+def test_rect_union_does_not_freeze_the_caller_arrays():
+    lo, hi = np.zeros(2), np.ones(2)
+    RectUnion([(lo, hi)])
+    lo[0] = -1.0
+
+
+# SHA-256 of the canonical JSON form, pinned so the hash stays bit-identical
+PINNED_FINGERPRINTS = [
+    (Ball(1.0, 2), "dfccdc30e25b057ae287fd10f01de71c1df6f37cb20aa573471ce3e7b600f9b8"),
+    (Cube(1.0, 3), "1561af9dc1fc609f6ba13f06086c1cb0e8055d47fe35e91416cd55ba555d96bc"),
+    (
+        HPolytope([[1, 0], [0, 1], [-1, -1]], [1, 1, 0.5]),
+        "bc58ad186319a74332f226e7037e59d8e2e6f7b11ca1769e529b1be5b19f6d25",
+    ),
+    (
+        geometry.apply_affine(Cube(1.0, 2), np.array([[2.0, 0.3], [0.1, 0.5]]), np.array([0.1, -0.2])),
+        "9b46bed2122f63cddfab774f9d38d5174f35ee419d31305c41bbba3638b431d9",
+    ),
+]
+
+
+@pytest.mark.parametrize("body,digest", PINNED_FINGERPRINTS, ids=["ball", "cube", "hpolytope", "affine"])
+def test_fingerprint_digest_pinned(body, digest):
+    assert geometry.fingerprint(body) == digest

@@ -105,3 +105,11 @@ def test_point_cloud_validation():
             sampler="direct",
             body_fingerprint="",
         )
+
+
+def test_purpose_codes_unique_and_in_byte_range():
+    from convexineq._rng import Purpose
+
+    codes = [int(p) for p in Purpose.__members__.values()]
+    assert len(codes) == len(set(codes))
+    assert all(0 <= c < 256 for c in codes)

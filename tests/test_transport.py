@@ -254,3 +254,21 @@ def test_wasserstein_1d_translation(xs, a):
     x = np.asarray(xs)
     w = transport.wasserstein_1d(x, x + a, p=1)
     assert abs(w - abs(a)) <= 1e-9 * (1.0 + abs(a) + np.abs(x).max())
+
+
+@pytest.mark.parametrize(
+    "points,weights",
+    [
+        ([[math.nan, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+        ([[math.inf, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+        ([[0.0, 0.0], [1.0, 0.0]], [math.nan, 0.5]),
+    ],
+)
+def test_discrete_measure_rejects_non_finite_entries(points, weights):
+    with pytest.raises(NotNormalizedError, match="finite"):
+        DiscreteMeasure(np.array(points), np.array(weights))
+
+
+def test_uniform_measure_with_nan_point_fails_before_transport():
+    with pytest.raises(NotNormalizedError):
+        DiscreteMeasure.uniform([[math.nan, 0.0], [1.0, 0.0]])
