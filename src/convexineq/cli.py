@@ -135,15 +135,17 @@ def _run_suite(manifest, params):
 
 _BODY = {"type": "object"}
 _INT = {"type": "integer", "minimum": 1}
+# sample counts that an exact matching solves
+_EXACT_M = {"type": "integer", "minimum": 1, "maximum": transport._EXACT_CAP}
 
 # command -> (handler, params properties)
 _COMMANDS = {
     "ot": (_run_ot, SLICE_PARAMS[acceptance.ot_corpus]),
-    "wasserstein": (_run_wasserstein, {"body_a": _BODY, "body_b": _BODY, "p": _INT, "m": _INT, "reps": _INT}),
+    "wasserstein": (_run_wasserstein, {"body_a": _BODY, "body_b": _BODY, "p": _INT, "m": _EXACT_M, "reps": _INT}),
     "isotropy": (_run_isotropy, {"body": _BODY, "m": _INT}),
     "tci-bound": (
         _run_tci,
-        {"body": _BODY, "sub_bodies": {"type": "array", "minItems": 1, "items": _BODY}, "p": _INT, "m": _INT},
+        {"body": _BODY, "sub_bodies": {"type": "array", "minItems": 1, "items": _BODY}, "p": _INT, "m": _EXACT_M},
     ),
     "tlsi-verify": (_run_tlsi, SLICE_PARAMS[acceptance.tlsi_corpus]),
     "dirichlet-sharpness": (_run_dirichlet, SLICE_PARAMS[acceptance.dirichlet_corpus]),

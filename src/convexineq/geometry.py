@@ -23,6 +23,11 @@ Conventions used throughout:
   are read-only), so each quadrature mesh is built once per body object and
   resolution and kept on the object; every call after the first returns the
   same read-only arrays.
+* What differs between variants lives on the variant's class, so no other
+  module branches on the kind of body: beside membership, support and
+  quadrature, the hooks ``_direct_sampler``, ``_support_norm`` and
+  ``_exact_center`` (None where the variant has no closed form) and a
+  convex body's hit-and-run ``_chord``.
 
 Serialization is canonical JSON; a body's fingerprint is the SHA-256 of that
 form, computed once per body object, and is used to tie sampled point clouds
@@ -76,8 +81,9 @@ class AffineMap:
     shift: np.ndarray
 
     def __post_init__(self):
-        L = np.atleast_2d(np.asarray(self.linear, dtype=float))
-        s = np.atleast_1d(np.asarray(self.shift, dtype=float))
+        # copies, so freezing them leaves the caller's arrays writeable
+        L = np.atleast_2d(np.array(self.linear, dtype=float))
+        s = np.atleast_1d(np.array(self.shift, dtype=float))
         if L.shape[0] != L.shape[1] or L.shape[0] != s.shape[0]:
             raise DimensionMismatchError(
                 f"affine map shapes inconsistent: linear {L.shape}, shift {s.shape}"
@@ -204,6 +210,18 @@ class _Region:
             f"boundary quadrature unsupported for {type(self).__name__} in dimension {self.dim}"
         )
 
+    def _direct_sampler(self):
+        """make(generator, count) drawing count exact uniform points, or None."""
+        return None
+
+    def _support_norm(self) -> tuple[str, float] | None:
+        """(norm "1", "2" or "inf", scale) with h(u) = scale * ||u||_norm, or None."""
+        return None
+
+    def _exact_center(self) -> np.ndarray | None:
+        """The barycentre when it is known without sampling, else None."""
+        return None
+
 
 class ConvexBody(_Region):
     """Base class for the convex body variants."""
@@ -232,6 +250,21 @@ class ConvexBody(_Region):
     def interior_point(self) -> np.ndarray:
         """A point in the interior, used as a chain anchor."""
         raise NotImplementedError
+
+    def _chord(self, x: np.ndarray, d: np.ndarray, diam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(tmin, tmax) of the chords {x + t d} for rows of x and unit rows of d,
+        by bisection on membership to float precision; closed forms override it."""
+        out = []
+        for sign in (1.0, -1.0):
+            lo = np.zeros(x.shape[0])
+            hi = np.full(x.shape[0], diam)
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                inside = self.contains_many(x + (sign * mid)[:, None] * d)
+                lo = np.where(inside, mid, lo)
+                hi = np.where(inside, hi, mid)
+            out.append(sign * lo)
+        return out[1], out[0]
 
 
 def _check_point_shape(body, points) -> np.ndarray:
@@ -282,6 +315,33 @@ class Ball(ConvexBody):
 
     def to_json(self):
         return {"variant": "ball", "dim": self.dim, "radius": self.radius}
+
+    def _direct_sampler(self):
+        # a Gaussian direction scaled by U^(1/n) times the radius
+        n, r = self.dim, self.radius
+
+        def make(g, count):
+            z = g.standard_normal((count, n))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            u = g.random(count) ** (1.0 / n)
+            return r * z * u[:, None]
+
+        return make
+
+    def _support_norm(self):
+        return "2", self.radius
+
+    def _exact_center(self):
+        return np.zeros(self.dim)
+
+    def _chord(self, x, d, diam):
+        # |x + t d| = r with |d| = 1
+        r = self.radius
+        xd = (x * d).sum(axis=1)
+        disc = xd * xd - ((x * x).sum(axis=1) - r * r)
+        disc = np.maximum(disc, 0.0)
+        root = np.sqrt(disc)
+        return -xd - root, -xd + root
 
     def _interior_quadrature(self, resolution):
         r, n = self.radius, self.dim
@@ -399,6 +459,30 @@ class Cube(ConvexBody):
     def to_json(self):
         return {"variant": "cube", "dim": self.dim, "side": self.side}
 
+    def _direct_sampler(self):
+        # independent uniform coordinates
+        n, s = self.dim, self.side
+
+        def make(g, count):
+            return (g.random((count, n)) - 0.5) * s
+
+        return make
+
+    def _support_norm(self):
+        return "1", self.side / 2.0
+
+    def _exact_center(self):
+        return np.zeros(self.dim)
+
+    def _chord(self, x, d, diam):
+        half = self.side / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-half - x) / d
+            t2 = (half - x) / d
+        lo = np.where(d != 0, np.minimum(t1, t2), -np.inf)
+        hi = np.where(d != 0, np.maximum(t1, t2), np.inf)
+        return lo.max(axis=1), hi.min(axis=1)
+
     def _interior_quadrature(self, resolution):
         if self.dim > 3:
             raise QuadratureUnsupportedError(
@@ -459,6 +543,26 @@ class L1Ball(ConvexBody):
 
     def to_json(self):
         return {"variant": "l1ball", "dim": self.dim, "radius": self.radius}
+
+    def _direct_sampler(self):
+        # exponential spacings: with e_1, ..., e_{n+1} iid standard
+        # exponentials, (e_1, ..., e_n) / (e_1 + ... + e_{n+1}) is uniform on
+        # the standard simplex, and random signs spread it over all orthants
+        n, r = self.dim, self.radius
+
+        def make(g, count):
+            e = g.standard_exponential((count, n + 1))
+            x = e[:, :n] / e.sum(axis=1, keepdims=True)
+            signs = np.where(g.random((count, n)) < 0.5, -1.0, 1.0)
+            return r * x * signs
+
+        return make
+
+    def _support_norm(self):
+        return "inf", self.radius
+
+    def _exact_center(self):
+        return np.zeros(self.dim)
 
     def _polygon(self):
         r = self.radius
@@ -600,6 +704,16 @@ class HPolytope(ConvexBody):
     def to_json(self):
         return {"variant": "hpolytope", "dim": self.dim, "A": self.A.tolist(), "b": self.b.tolist()}
 
+    def _chord(self, x, d, diam):
+        # row i bounds t above where <a_i, d> > 0 and below where it is < 0
+        num = self.b[None, :] - x @ self.A.T
+        den = d @ self.A.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = num / den
+        hi = np.where(den > 1e-300, t, np.inf).min(axis=1)
+        lo = np.where(den < -1e-300, t, -np.inf).max(axis=1)
+        return lo, hi
+
     def vertices_2d(self) -> np.ndarray:
         """Vertices of a planar polytope in counterclockwise order."""
         if self.dim != 2:
@@ -712,6 +826,37 @@ class AffineImage(ConvexBody):
             **self.map.to_json(),
         }
 
+    def _direct_sampler(self):
+        # base samples pushed through the map
+        inner = self.base._direct_sampler()
+        if inner is None:
+            return None
+        amap = self.map
+
+        def make(g, count):
+            return amap.apply(inner(g, count))
+
+        return make
+
+    def _support_norm(self):
+        # only a pure scaling t I (t > 0, no shift) keeps the base's norm, so
+        # volume-one normalizations stay on the closed-form path
+        L, s = self.map.linear, self.map.shift
+        t = L[0, 0]
+        if (
+            t > 0
+            and np.allclose(L, t * np.eye(self.dim), rtol=0, atol=1e-14 * abs(t))
+            and np.allclose(s, 0.0, rtol=0, atol=1e-14 * abs(t))
+        ):
+            inner = self.base._support_norm()
+            if inner is not None:
+                return inner[0], inner[1] * t
+        return None
+
+    def _exact_center(self):
+        center = self.base._exact_center()
+        return None if center is None else self.map.linear @ center + self.map.shift
+
     def _interior_quadrature(self, resolution):
         nodes, weights = self.base._interior_quadrature(resolution)
         return self.map.apply(nodes), weights * abs(self.map.det)
@@ -805,6 +950,23 @@ class RectUnion(_Region):
             "rects": [[lo.tolist(), hi.tolist()] for lo, hi in self.rects],
         }
 
+    def _direct_sampler(self):
+        # the budget is split across rectangles in proportion to area, with
+        # largest-remainder rounding, and each share is uniform on its box
+        areas = np.array([float(np.prod(hi - lo)) for lo, hi in self.rects])
+        probs = areas / areas.sum()
+        rects = self.rects
+
+        def make(g, count):
+            counts = _largest_remainder(probs * count)
+            parts = []
+            for (lo, hi), k in zip(rects, counts):
+                if k:
+                    parts.append(lo + (hi - lo) * g.random((k, 2)))
+            return np.concatenate(parts) if parts else np.zeros((0, 2))
+
+        return make
+
     def _exposed(self, k, axis, coord, sign):
         """Sub-intervals of rect k's edge not covered by a neighbor across it."""
         lo, hi = self.rects[k]
@@ -854,6 +1016,16 @@ class RectUnion(_Region):
 
 
 Domain = ConvexBody | RectUnion
+
+
+def _largest_remainder(targets: np.ndarray) -> np.ndarray:
+    """Floors of the targets, plus one for the largest fractional parts."""
+    base = np.floor(targets).astype(int)
+    short = int(round(targets.sum())) - int(base.sum())
+    if short > 0:
+        order = np.argsort(-(targets - base), kind="stable")
+        base[order[:short]] += 1
+    return base
 
 
 def _subtract_interval(segments, cover):
@@ -1120,8 +1292,7 @@ def boundary_quadrature(body: Domain, resolution: int) -> BoundaryMesh:
 
 def surface_area(body: Domain) -> float | None:
     """Closed-form surface measure when available."""
-    fn = getattr(body, "surface_area_closed_form", None)
-    return fn() if fn is not None else None
+    return body.surface_area_closed_form()
 
 
 def body_to_json(body: Domain) -> dict:

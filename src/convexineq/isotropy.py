@@ -33,7 +33,7 @@ from .errors import (
     SamplingError,
 )
 from .estimate import Estimate
-from .geometry import AffineImage, AffineMap, Ball, ConvexBody, Cube, Domain, L1Ball
+from .geometry import AffineMap, ConvexBody, Domain
 from .sampling import PointCloud, sample_uniform
 
 def covariance(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -158,32 +158,6 @@ def _norm_ratio_min(nb: str, nk: str, n: int) -> float:
     return pairs[(nb, nk)]
 
 
-def _support_norm(body) -> tuple[str, float] | None:
-    """(norm index, scale) with h_body(u) = scale * ||u||_norm, if primitive.
-
-    Pure scalings of a primitive (zero shift, t * identity) unwrap to the
-    scaled primitive, so volume-one normalizations stay on the exact path.
-    """
-    if isinstance(body, Ball):
-        return "2", body.radius
-    if isinstance(body, Cube):
-        return "1", body.side / 2.0
-    if isinstance(body, L1Ball):
-        return "inf", body.radius
-    if isinstance(body, AffineImage):
-        L, s = body.map.linear, body.map.shift
-        t = L[0, 0]
-        if (
-            t > 0
-            and np.allclose(L, t * np.eye(body.dim), rtol=0, atol=1e-14 * abs(t))
-            and np.allclose(s, 0.0, rtol=0, atol=1e-14 * abs(t))
-        ):
-            inner = _support_norm(body.base)
-            if inner is not None:
-                return inner[0], inner[1] * t
-    return None
-
-
 def inscribe_scale(B: Domain, K: Domain, *, m: int = 10_000, seed: int = 0) -> float:
     """Largest t such that t K fits inside B (both taken about the origin).
 
@@ -194,7 +168,7 @@ def inscribe_scale(B: Domain, K: Domain, *, m: int = 10_000, seed: int = 0) -> f
     if B.dim != K.dim:
         raise DimensionMismatchError(f"bodies live in dimensions {B.dim} and {K.dim}")
     n = B.dim
-    sb, sk = _support_norm(B), _support_norm(K)
+    sb, sk = B._support_norm(), K._support_norm()
     if sb is not None and sk is not None:
         (nb, cb), (nk, ck) = sb, sk
         return (cb / ck) * _norm_ratio_min(nb, nk, n)
@@ -276,13 +250,13 @@ def volume_ratio(
 
 
 def _require_centered(body: Domain, m: int, seed: int) -> None:
-    """Concentric scaling is only meaningful for origin-centered bodies."""
-    if isinstance(body, (Ball, Cube, L1Ball)):
-        return
+    """Concentric scaling is only meaningful for origin-centered bodies; the
+    barycentre is sampled only where the body has no exact one."""
     lo, hi = body.bounding_box()
     diam = float(np.linalg.norm(hi - lo))
-    if isinstance(body, AffineImage) and isinstance(body.base, (Ball, Cube, L1Ball)):
-        if float(np.linalg.norm(body.map.shift)) <= 1e-9 * diam:
+    center = body._exact_center()
+    if center is not None:
+        if float(np.linalg.norm(center)) <= 1e-9 * diam:
             return
         raise DegenerateBodyError("concentric scaling requires an origin-centered body")
     cloud = sample_uniform(body, max(m, 4096), child_seed(seed, Purpose.CENTERED_CHECK))

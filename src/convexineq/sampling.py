@@ -1,16 +1,10 @@
 """Uniform sampling from convex bodies.
 
-Ball, cube, and cross-polytope have exact direct samplers:
-
-* ball: a Gaussian direction scaled by U^(1/n) times the radius;
-* cube: independent uniform coordinates;
-* cross-polytope: exponential spacings. With e_1, ..., e_{n+1} iid standard
-  exponentials, the vector (e_1, ..., e_n) / (e_1 + ... + e_{n+1}) is uniform
-  on the standard simplex, and random signs spread it over all orthants.
-
-Affine images push base samples through the map; H-polytopes fall back to a
-vectorized hit-and-run chain.  Rectangle unions split the budget across
-rectangles proportionally to area with largest-remainder rounding.
+A body whose class has an exact sampler (``_direct_sampler`` in
+:mod:`geometry`: ball, cube, cross-polytope, rectangle unions and affine
+images of those) is sampled directly; any other convex body, such as a
+general H-polytope, by a vectorized hit-and-run chain along the chords its
+class computes.
 
 All samplers draw from counter-based streams in fixed-size chunks, so output
 is bit-reproducible for a given (body, m, seed) regardless of scheduling.
@@ -25,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._rng import CHUNK, Purpose, chunked, rng_for
+from ._rng import Purpose, chunked, rng_for
 from .errors import ChainStuckError, SamplingError
 from .estimate import Estimate
-from .geometry import AffineImage, Ball, ConvexBody, Cube, Domain, HPolytope, L1Ball, RectUnion
+from .geometry import AffineImage, ConvexBody, Domain
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -74,82 +69,15 @@ class PointCloud:
         }
 
 
-def _direct_kernel(body):
-    """Return make(generator, count) for variants with an exact sampler."""
-    if isinstance(body, Ball):
-        n, r = body.dim, body.radius
-
-        def make(g, count):
-            z = g.standard_normal((count, n))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            u = g.random(count) ** (1.0 / n)
-            return r * z * u[:, None]
-
-        return make
-    if isinstance(body, Cube):
-        n, s = body.dim, body.side
-
-        def make(g, count):
-            return (g.random((count, n)) - 0.5) * s
-
-        return make
-    if isinstance(body, L1Ball):
-        n, r = body.dim, body.radius
-
-        def make(g, count):
-            e = g.standard_exponential((count, n + 1))
-            x = e[:, :n] / e.sum(axis=1, keepdims=True)
-            signs = np.where(g.random((count, n)) < 0.5, -1.0, 1.0)
-            return r * x * signs
-
-        return make
-    if isinstance(body, RectUnion):
-        areas = np.array([float(np.prod(hi - lo)) for lo, hi in body.rects])
-        probs = areas / areas.sum()
-        rects = body.rects
-
-        def make(g, count):
-            counts = _largest_remainder(probs * count)
-            parts = []
-            for (lo, hi), k in zip(rects, counts):
-                if k:
-                    parts.append(lo + (hi - lo) * g.random((k, 2)))
-            return np.concatenate(parts) if parts else np.zeros((0, 2))
-
-        return make
-    return None
-
-
-def _largest_remainder(targets: np.ndarray) -> np.ndarray:
-    base = np.floor(targets).astype(int)
-    short = int(round(targets.sum())) - int(base.sum())
-    if short > 0:
-        order = np.argsort(-(targets - base), kind="stable")
-        base[order[:short]] += 1
-    return base
-
-
 def sample_uniform(body: Domain, m: int, seed: int) -> PointCloud:
     """Draw m uniform points; exact sampler when one exists, else hit-and-run."""
     if m <= 0:
         raise SamplingError(f"sample count must be positive, got {m}")
-    if isinstance(body, AffineImage):
-        inner = _direct_kernel(body.base)
-        if inner is not None:
-            base_make = inner
-            amap = body.map
-
-            def make(g, count):
-                return amap.apply(base_make(g, count))
-
-            pts = chunked(seed, Purpose.SAMPLE_DIRECT, 0, m, make)
-            return _finish(body, pts, seed, "direct")
+    make = body._direct_sampler()
+    if make is None:
         return hit_and_run(body, m, seed)
-    kernel = _direct_kernel(body)
-    if kernel is not None:
-        pts = chunked(seed, Purpose.SAMPLE_DIRECT, 0, m, kernel)
-        return _finish(body, pts, seed, "direct")
-    return hit_and_run(body, m, seed)
+    pts = chunked(seed, Purpose.SAMPLE_DIRECT, 0, m, make)
+    return _finish(body, pts, seed, "direct")
 
 
 def _finish(body, pts, seed, sampler) -> PointCloud:
@@ -176,46 +104,6 @@ def _finish(body, pts, seed, sampler) -> PointCloud:
 # -- hit-and-run -------------------------------------------------------------
 
 
-def _chord_ball(r, x, d):
-    # |x + t d| = r with |d| = 1
-    xd = (x * d).sum(axis=1)
-    disc = xd * xd - ((x * x).sum(axis=1) - r * r)
-    disc = np.maximum(disc, 0.0)
-    root = np.sqrt(disc)
-    return -xd - root, -xd + root
-
-def _chord_cube(half, x, d):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-half - x) / d
-        t2 = (half - x) / d
-    lo = np.where(d != 0, np.minimum(t1, t2), -np.inf)
-    hi = np.where(d != 0, np.maximum(t1, t2), np.inf)
-    return lo.max(axis=1), hi.min(axis=1)
-
-def _chord_polytope(A, b, x, d):
-    num = b[None, :] - x @ A.T
-    den = d @ A.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    hi = np.where(den > 1e-300, t, np.inf).min(axis=1)
-    lo = np.where(den < -1e-300, t, -np.inf).max(axis=1)
-    return lo, hi
-
-def _chord_bisect(body, x, d, diam):
-    """Chord endpoints by bisection on membership; exact to float precision."""
-    out = []
-    for sign in (1.0, -1.0):
-        lo = np.zeros(x.shape[0])
-        hi = np.full(x.shape[0], diam)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            inside = body.contains_many(x + (sign * mid)[:, None] * d)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        out.append(sign * lo)
-    return out[1], out[0]
-
-
 def hit_and_run(
     body: Domain,
     m: int,
@@ -231,7 +119,7 @@ def hit_and_run(
     """
     if m <= 0:
         raise SamplingError(f"sample count must be positive, got {m}")
-    if isinstance(body, RectUnion):
+    if not isinstance(body, ConvexBody):
         # chords through a non-convex union can leave and re-enter it
         raise SamplingError("hit-and-run requires a convex body; use sample_uniform")
     if isinstance(body, AffineImage):
@@ -291,13 +179,9 @@ def hit_and_run(
 
 
 def _chord(body, x, d, diam):
-    if isinstance(body, Ball):
-        return _chord_ball(body.radius, x, d)
-    if isinstance(body, Cube):
-        return _chord_cube(body.side / 2.0, x, d)
-    if isinstance(body, HPolytope):
-        return _chord_polytope(body.A, body.b, x, d)
-    return _chord_bisect(body, x, d, diam)
+    # one call per lockstep step of the chains, kept as a module-level name
+    # because bench/tracing.py counts chain steps by wrapping it
+    return body._chord(x, d, diam)
 
 
 # -- moment estimation --------------------------------------------------------

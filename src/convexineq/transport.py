@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ._rng import Purpose, child_seed
@@ -74,8 +75,9 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.support, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        # copies, so freezing them leaves the caller's arrays writeable
+        pts = np.atleast_2d(np.array(self.support, dtype=float))
+        w = np.atleast_1d(np.array(self.weights, dtype=float))
         if pts.shape[0] != w.shape[0]:
             raise DimensionMismatchError("support and weights lengths differ")
         if pts.shape[0] == 0:
@@ -242,12 +244,15 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
         )
     a, b = mu.weights, nu.weights
     # equality constraints: all row sums, and all but one column sum (the
-    # dropped one is implied since both weight vectors sum to 1)
-    A_eq = np.zeros((k1 + k2 - 1, k1 * k2))
-    for i in range(k1):
-        A_eq[i, i * k2 : (i + 1) * k2] = 1.0
-    for j in range(k2 - 1):
-        A_eq[k1 + j, j::k2] = 1.0
+    # dropped one is implied since both weight vectors sum to 1); sparse, as
+    # the dense matrix would hold (k1 + k2 - 1) k1 k2 entries
+    A_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(k1), np.ones((1, k2))),
+            sparse.kron(np.ones((1, k1)), sparse.eye(k2), format="csr")[:-1],
+        ],
+        format="csr",
+    )
     b_eq = np.concatenate([a, b[:-1]])
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,14 @@ def test_report_envelope_fields():
     assert env["seed"] == 3
     assert env["version"] == reporting.VERSION
     assert env["records"] == 7
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert meta["project"]["dynamic"] == ["version"]
+    assert "version" not in meta["project"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "convexineq.reporting.VERSION"}
 
 
 # -- manifest validation -----------------------------------------------------------
@@ -218,6 +227,13 @@ def test_malformed_body_param_rejected(tmp_path, capsys):
     manifest = {"command": "isotropy", "params": {"body": {"variant": "ball", "dim": 2}}}
     assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
     assert "$.params.body" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "tci-bound"])
+def test_sample_count_over_the_exact_cap_rejected(tmp_path, capsys, command):
+    manifest = {"command": command, "params": {"m": 5000}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.m" in capsys.readouterr().err
 
 
 def test_workers_key_and_flag_rejected(tmp_path, capsys):

@@ -173,6 +173,15 @@ def test_json_roundtrip_preserves_fingerprint():
         assert geometry.fingerprint(again) == geometry.fingerprint(body)
 
 
+def test_affine_image_leaves_the_callers_arrays_writeable():
+    L, shift = 2.0 * np.eye(2), np.zeros(2)
+    img = geometry.apply_affine(Cube(1.0, 2), L, shift)
+    L[0, 0] = 3.0
+    shift[0] = 1.0
+    assert not img.map.linear.flags.writeable
+    assert img.map.linear[0, 0] == 2.0 and img.map.shift[0] == 0.0
+
+
 def test_affine_map_compose_and_inverse():
     m = AffineMap([[2.0, 1.0], [0.0, 1.0]], [1.0, -1.0])
     pts = np.array([[0.3, -0.4], [1.0, 2.0]])

@@ -62,13 +62,22 @@ def test_isotropic_position_normalizes():
     assert abs(cov[0, 1]) <= 0.05 * cov[0, 0]
 
 
-def test_inscribe_scale_closed_forms():
+def test_inscribe_scale_closed_forms(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("closed-form pairs must not sample")
+
+    monkeypatch.setattr(isotropy, "sample_uniform", no_sampling)
     # unit ball inside the side-2 cube fits exactly
     assert isotropy.inscribe_scale(Cube(2.0, 2), Ball(1.0, 2)) == pytest.approx(1.0)
     # cube of side 2 inside a ball needs radius sqrt(n)
     assert isotropy.inscribe_scale(Ball(math.sqrt(2.0), 2), Cube(2.0, 2)) == pytest.approx(1.0)
     # cross-polytope vertices at radius 1 fit a unit ball
     assert isotropy.inscribe_scale(Ball(1.0, 3), geometry.L1Ball(1.0, 3)) == pytest.approx(1.0)
+    # volume-one images are pure scalings: the disk of radius pi^(-1/2)
+    # fits the unit square at scale sqrt(pi) / 2
+    B = geometry.normalize_to_volume_one(Cube(3.0, 2))
+    K = geometry.normalize_to_volume_one(Ball(1.0, 2))
+    assert isotropy.inscribe_scale(B, K) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
 def test_inscribe_scale_dimension_mismatch():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,40 @@ def test_samples_stay_inside(body):
     assert cloud.count == 2000
     assert np.all(body.contains_many(cloud.points, tol=1e-9))
     assert cloud.weights.sum() == pytest.approx(1.0)
+
+
+TRIANGLE = HPolytope(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0]))
+
+# SHA-256 of sample_uniform(body, 1000, seed=3).points.tobytes(): a change to
+# a sampler, a chord or the dispatch between them changes the bytes
+PINNED = [
+    (Ball(1.0, 3), "direct", "53143ac9cb3c9764a8c4686df288185cbc12ef0cf46deb6c8dfadb085e373cf8"),
+    (Cube(1.0, 2), "direct", "0d92a8ff638f1d3f082514a9d0963c084d42bfc5a1b1cdc59c5133b1b80a6201"),
+    (L1Ball(1.0, 4), "direct", "825afaeb7fb6b2c702f977262b2cf10f16dfc982205f7d49e158abe3ae7f67af"),
+    (LSHAPE, "direct", "ec398f53b60a5e645b7281adafc590c2fdec5de1cc25973b128ed6014b6b13e6"),
+    (
+        geometry.apply_affine(Cube(1.0, 2), [[2.0, 0.5], [0.0, 1.0]], [0.3, -0.2]),
+        "direct",
+        "7883ba85e908c203c52de1a7dba1d0f7d3c836245e3250ac8b870b65037d40c0",
+    ),
+    (TRIANGLE, "hit_and_run", "bc10d93bd6fd7fc4dcfb3793653fcdc0b0600a111be54a9975c585411a736af9"),
+    (
+        geometry.apply_affine(TRIANGLE, [[1.5, 0.2], [0.1, 0.8]], [0.1, 0.2]),
+        "hit_and_run",
+        "438fe90df4ac8082c7bc5004cce2e1928f106d487df06a29888c133bc533b349",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "body,sampler,digest",
+    PINNED,
+    ids=["ball", "cube", "l1ball", "lshape", "affine-cube", "triangle", "affine-triangle"],
+)
+def test_samples_are_pinned(body, sampler, digest):
+    cloud = sampling.sample_uniform(body, 1000, seed=3)
+    assert cloud.sampler == sampler
+    assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == digest
 
 
 def test_sample_count_must_be_positive():

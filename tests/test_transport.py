@@ -72,6 +72,29 @@ def test_exact_ot_nonuniform_weights():
     assert plan.solver == "exact"
 
 
+def test_transport_lp_matches_the_1d_cdf_closed_form():
+    """A non-uniform 150 x 151 instance on the line: W1 = integral of |F - G|."""
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=150), rng.normal(0.3, 1.5, size=151)
+    a, b = rng.random(150) + 0.1, rng.random(151) + 0.1
+    a, b = a / a.sum(), b / b.sum()
+    plan = transport.exact_ot(DiscreteMeasure(x[:, None], a), DiscreteMeasure(y[:, None], b), 1)
+    grid = np.sort(np.concatenate([x, y]))
+    F = np.array([a[x <= t].sum() for t in grid[:-1]])
+    G = np.array([b[y <= t].sum() for t in grid[:-1]])
+    w1 = float((np.abs(F - G) * np.diff(grid)).sum())
+    assert plan.cost == pytest.approx(w1, rel=1e-9)
+    assert plan.marginal_residual <= 1e-9
+
+
+def test_discrete_measure_leaves_the_callers_points_writeable():
+    x = np.array([[0.0, 1.0], [2.0, 3.0]])
+    mu = DiscreteMeasure.uniform(x)
+    x[0, 0] = 5.0
+    assert not mu.support.flags.writeable
+    assert mu.support[0, 0] == 0.0
+
+
 def test_w1_below_w2():
     rng = np.random.default_rng(2)
     for _ in range(10):
