@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -270,3 +271,77 @@ def test_cli_rows_are_the_criterion_rows(tmp_path, monkeypatch, manifest, criter
     lines = (out / f"{manifest['command']}.csv").read_text().splitlines()[1:]
     assert len(lines) > 1
     assert lines == criterion(0, 1.0).csv().splitlines()[: len(lines)]
+
+
+# -- pinned reports -----------------------------------------------------------------------
+
+# SHA-256 of every file each command writes at seed 0 into the relative
+# directory "out"; the digests were taken before result records built their
+# JSON from their dataclass fields, so that refactor left every report as it was
+PINNED_REPORTS = [
+    (
+        {"command": "ot", "oracle": True, "params": {"instances": 5}},
+        {
+            "ot.csv": "01552a89babb657338326b7657b82b5e72d43ef167767d9715a08de80fc40d2e",
+            "ot.json": "4cf6c68dd2a5cbf25fb658749d47d81c9c08f6c6ac2f326433aa2b46f01379b3",
+        },
+    ),
+    (
+        {"command": "tlsi-verify", "params": {"domains": ["interval"], "count": 1, "resolution": 16}},
+        {
+            "tlsi-verify.csv": "0acc606369707f6a1600650a8a9bbdd066aa80b0ff161ff8824641ee03728d74",
+            "tlsi-verify.json": "442b68692f40180595bb7c3126c366d909f9c5c84d65ba277c318f6fb1a3ad44",
+        },
+    ),
+    (
+        {"command": "dirichlet-sharpness", "params": {"resolution": 32}},
+        {
+            "dirichlet-sharpness.csv": "b6a90929521370e77654a16730fdd9f510fd4ee2cb6683ad696c12050cdbf33d",
+            "dirichlet-sharpness.json": "0da525c4d229353b286adae7d80fa03f8e33801585d5acefc889220c7a981bcd",
+        },
+    ),
+    (
+        {"command": "brenier-1d", "params": {"count": 1, "points": 129}},
+        {
+            "brenier-1d.csv": "d42c491768d448163ac1cafa43c042220aa91165f896a28b7b6ee8addbf450fd",
+            "brenier-1d.json": "3de3b4586fffdc2043541a6cc70ac6c339d6e5c2f48c102fa7acd8cd2c3f6c02",
+        },
+    ),
+    (
+        {"command": "wasserstein", "params": {"m": 64, "reps": 3}},
+        {
+            "wasserstein.csv": "41beb83ff9c3270f58e7de8d36c6370713c19254273a18edc22ce0c072c53630",
+            "wasserstein.json": "b14600df801a532d74ef65075610bf4061fb5295c5f215d7fcd44208c2089f1c",
+        },
+    ),
+    (
+        {"command": "isotropy", "params": {"m": 2000}},
+        {
+            "isotropy.csv": "505f5795363c65b3f1717690aaca78b32827130d88fdc90bdbfbf3ccdbf8b3f7",
+            "isotropy.json": "0fe2fbd370d1c8f7bcb9ba628cfda17091ae5b4f04730aba6d28f90439f2e424",
+        },
+    ),
+    (
+        {"command": "tci-bound", "params": {"m": 64}},
+        {
+            "tci-bound.csv": "c04080dce2ef0d3b1f20d83cc150a0338a290a882ba224c4a492f6b31984b3b3",
+            "tci-bound.json": "b743a6faaad8f67ae457784f5986e565232ad471bda411b32cd217af948bf3a7",
+        },
+    ),
+    (
+        {"command": "concentration", "params": {"m": 10000}},
+        {
+            "concentration.csv": "e0233f4cc485008644cd0b15f63a7a8225f832e625a8d6fa572d349d7e690963",
+            "concentration.json": "937c82dd8e3c209118ec50bd395e6e6db7d3daab152981d938917fb39af28da7",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("manifest,digests", PINNED_REPORTS, ids=[m["command"] for m, _ in PINNED_REPORTS])
+def test_report_digests_pinned(tmp_path, monkeypatch, manifest, digests):
+    # a relative out path keeps the manifest, and so every file, independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--manifest", _write(tmp_path, {**manifest, "seed": 0, "out": "out"})]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert written == digests
