@@ -561,35 +561,29 @@ def _run_all(seed: int, tolerance_scale: float, echo) -> list[CriterionResult]:
     return out
 
 
-def run_suite(
-    seed: int = 0,
-    tolerance_scale: float = 1.0,
-    check_determinism: bool = True,
-    echo=None,
-) -> SuiteResult:
-    """Run criteria 1..11, then (optionally) re-run them to check that the
-    combined CSV bodies are byte-identical, which is criterion 12."""
+def run_suite(seed: int = 0, tolerance_scale: float = 1.0, echo=None) -> SuiteResult:
+    """Run criteria 1..11, then re-run them to check that the combined CSV
+    bodies are byte-identical, which is criterion 12."""
     t0 = perf_counter()
     results = _run_all(seed, tolerance_scale, echo)
-    if check_determinism:
-        first = SuiteResult(tuple(results)).combined_csv()
-        second = SuiteResult(tuple(_run_all(seed, tolerance_scale, None))).combined_csv()
-        identical = first == second
-        elapsed = perf_counter() - t0
-        res12 = CriterionResult(
-            index=12,
-            name="determinism",
-            passed=identical and elapsed < 1800.0,
-            detail=(
-                f"second run {'byte-identical' if identical else 'DIFFERS'} "
-                f"({len(first)} CSV bytes); suite wall time {elapsed:.0f}s"
-            ),
-            header=("check", "value"),
-            rows=(("identical_bytes", 1 if identical else 0), ("csv_bytes", len(first))),
-            limit=1800.0,
-            elapsed=elapsed,
-        )
-        if echo:
-            echo(res12.line())
-        results.append(res12)
+    first = SuiteResult(tuple(results)).combined_csv()
+    second = SuiteResult(tuple(_run_all(seed, tolerance_scale, None))).combined_csv()
+    identical = first == second
+    elapsed = perf_counter() - t0
+    res12 = CriterionResult(
+        index=12,
+        name="determinism",
+        passed=identical and elapsed < 1800.0,
+        detail=(
+            f"second run {'byte-identical' if identical else 'DIFFERS'} "
+            f"({len(first)} CSV bytes); suite wall time {elapsed:.0f}s"
+        ),
+        header=("check", "value"),
+        rows=(("identical_bytes", 1 if identical else 0), ("csv_bytes", len(first))),
+        limit=1800.0,
+        elapsed=elapsed,
+    )
+    if echo:
+        echo(res12.line())
+    results.append(res12)
     return SuiteResult(results=tuple(results))

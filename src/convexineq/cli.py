@@ -79,7 +79,7 @@ def _run_wasserstein(manifest, params):
     B = _body(params, "body_b", cube_volume_one(2))
     p, m, reps = params.get("p", 1), params.get("m", 1024), params.get("reps", 10)
     est = transport.wasserstein_empirical(A, B, p=p, m=m, seed=_seed(manifest), reps=reps)
-    payload = {"estimate": est.to_json(), "body_a": A.to_json(), "body_b": B.to_json()}
+    payload = {"estimate": est, "body_a": A, "body_b": B}
     return RunReport(("p", "m", "reps", "value", "stderr"), [(p, m, reps, est.value, est.stderr)], [], payload)
 
 
@@ -88,7 +88,7 @@ def _run_isotropy(manifest, params):
     report = isotropy.isotropic_position(body, m=params.get("m", 100_000), seed=_seed(manifest))
     header = ("L", "L_stderr", "isotropy_defect", "fit_count")
     rows = [(report.L_estimate.value, report.L_estimate.stderr, report.isotropy_defect, report.fit_count)]
-    return RunReport(header, rows, [], {"report": report.to_json()})
+    return RunReport(header, rows, [], {"report": report})
 
 
 def _run_tci(manifest, params):
@@ -106,7 +106,7 @@ def _run_tci(manifest, params):
          math.nan if r["tau_bound"] is None else r["tau_bound"], 1 if r["skipped"] else 0, r["reason"])
         for r in records
     ]
-    return RunReport(header, rows, [], {"tau_upper_bound": est.to_json(), "records": records})
+    return RunReport(header, rows, [], {"tau_upper_bound": est, "records": records})
 
 
 def _run_concentration(manifest, params):
@@ -116,7 +116,7 @@ def _run_concentration(manifest, params):
     )
     rows = [row for fit in res.fits for row in fit.csv_rows()]
     header = ("functional", "t", "raw_tail", "envelope_tail", "usable")
-    payload = {"tau_proxy": res.to_json()["tau_proxy"], "argmin": res.argmin, "body": body.to_json()}
+    payload = {"tau_proxy": res.estimate, "argmin": res.argmin, "body": body}
     return RunReport(header, rows, [], payload)
 
 
@@ -135,17 +135,19 @@ def _run_suite(manifest, params):
 
 _BODY = {"type": "object"}
 _INT = {"type": "integer", "minimum": 1}
+# the cost exponents transport supports
+_P = {"type": "integer", "enum": [1, 2]}
 # sample counts that an exact matching solves
 _EXACT_M = {"type": "integer", "minimum": 1, "maximum": transport._EXACT_CAP}
 
 # command -> (handler, params properties)
 _COMMANDS = {
     "ot": (_run_ot, SLICE_PARAMS[acceptance.ot_corpus]),
-    "wasserstein": (_run_wasserstein, {"body_a": _BODY, "body_b": _BODY, "p": _INT, "m": _EXACT_M, "reps": _INT}),
+    "wasserstein": (_run_wasserstein, {"body_a": _BODY, "body_b": _BODY, "p": _P, "m": _EXACT_M, "reps": {"type": "integer", "minimum": 2}}),
     "isotropy": (_run_isotropy, {"body": _BODY, "m": _INT}),
     "tci-bound": (
         _run_tci,
-        {"body": _BODY, "sub_bodies": {"type": "array", "minItems": 1, "items": _BODY}, "p": _INT, "m": _EXACT_M},
+        {"body": _BODY, "sub_bodies": {"type": "array", "minItems": 1, "items": _BODY}, "p": _P, "m": _EXACT_M},
     ),
     "tlsi-verify": (_run_tlsi, SLICE_PARAMS[acceptance.tlsi_corpus]),
     "dirichlet-sharpness": (_run_dirichlet, SLICE_PARAMS[acceptance.dirichlet_corpus]),

@@ -32,6 +32,7 @@ from ._rng import Purpose, child_seed, rng_for
 from .errors import NotNormalizedError, SamplingError
 from .estimate import Estimate, combined_stderr
 from .geometry import Domain
+from .reporting import Record, jsonable
 from .sampling import estimate_mean_norm_p, sample_uniform
 
 _MIN_EXCEEDANCES = 30
@@ -86,7 +87,7 @@ def norm_functional() -> LipschitzFunctional:
 
 
 @dataclass(frozen=True)
-class ConcentrationFit:
+class ConcentrationFit(Record):
     """Fitted tail profile of one functional on one sample cloud.
 
     Both the raw tails and their monotone (running-minimum) envelope are
@@ -109,20 +110,6 @@ class ConcentrationFit:
     @property
     def estimate(self) -> Estimate:
         return Estimate(value=self.alpha_hat, stderr=self.alpha_stderr, count=self.m, seed=self.seed)
-
-    def to_json(self) -> dict:
-        return {
-            "functional": self.functional,
-            "t_grid": self.t_grid.tolist(),
-            "tails": self.tails.tolist(),
-            "envelope": self.envelope.tolist(),
-            "counts": self.counts.tolist(),
-            "usable_points": self.usable_points.tolist(),
-            "alpha_hat": self.alpha_hat,
-            "alpha_stderr": self.alpha_stderr,
-            "m": self.m,
-            "seed": self.seed,
-        }
 
     def csv_rows(self) -> list[tuple]:
         usable = set(self.usable_points.tolist())
@@ -216,7 +203,7 @@ def concentration_profile(
 
 
 @dataclass(frozen=True)
-class TauProxyResult:
+class TauProxyResult(Record):
     """Worst-case fitted tail exponent over the probe family."""
 
     estimate: Estimate
@@ -224,11 +211,8 @@ class TauProxyResult:
     argmin: str
 
     def to_json(self) -> dict:
-        return {
-            "tau_proxy": self.estimate.to_json(),
-            "argmin": self.argmin,
-            "fits": [f.to_json() for f in self.fits],
-        }
+        # the estimate goes under the name of the quantity it estimates
+        return jsonable({"tau_proxy": self.estimate, "argmin": self.argmin, "fits": self.fits})
 
 
 def tau1_proxy(
@@ -262,7 +246,7 @@ def tau1_proxy(
 
 
 @dataclass(frozen=True)
-class AuditStep:
+class AuditStep(Record):
     """One record of the chain: lhs <= rhs checked at 4 combined stderr for
     inequality rows, or a value pair recorded without a verdict test
     (verdict REPORTED)."""
@@ -273,18 +257,9 @@ class AuditStep:
     stderr: float
     verdict: str
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
-class Lemma1Audit:
+class Lemma1Audit(Record):
     """Numerical audit of the mean-norm comparison chain for K inside an
     isotropic reference body B of volume one.
 
@@ -318,25 +293,12 @@ class Lemma1Audit:
         return all(s.verdict in ("PASS", "REPORTED") for s in self.steps)
 
     def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "entropy": self.entropy,
-            "dim": self.dim,
-            "m": self.m,
-            "seed": self.seed,
-            "K_fingerprint": self.K_fingerprint,
-            "B_fingerprint": self.B_fingerprint,
-            "steps": [s.to_json() for s in self.steps],
-            "quantities": {k: e.to_json() for k, e in self.quantities.items()},
-            "passed": self.passed(),
-        }
+        return {**super().to_json(), "passed": self.passed()}
 
 
 def _mean_sq_norm(body: Domain, m: int, seed: int) -> Estimate:
     cloud = sample_uniform(body, m, seed)
-    sq = (cloud.points**2).sum(axis=1)
-    se = float(sq.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return Estimate(value=float(sq.mean()), stderr=se, count=m, seed=seed)
+    return Estimate.of_samples((cloud.points**2).sum(axis=1), seed=seed)
 
 
 def lemma1_audit(

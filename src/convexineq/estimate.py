@@ -2,16 +2,23 @@
 
 An :class:`Estimate` is the package's common return type for any scalar that
 may carry Monte Carlo error.  Closed-form and deterministic-quadrature values
-use ``stderr = 0.0``; sampled values carry the standard error of the mean.
+use ``stderr = 0.0``; sampled values carry the standard error of the mean,
+and ``Estimate.of_samples`` is the one rule that computes it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import SamplingError
+from .reporting import Record
 
 
 @dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """A scalar value with its standard error and provenance.
 
     Attributes:
@@ -34,6 +41,19 @@ class Estimate:
         if self.count < 0:
             raise ValueError("count must be nonnegative")
 
+    @classmethod
+    def of_samples(cls, samples, seed: int | None = None) -> "Estimate":
+        """The mean of i.i.d. samples with stderr std(ddof=1) / sqrt(k).
+
+        Fewer than two samples have no measured spread, so they raise
+        rather than report a random value with stderr 0.
+        """
+        x = np.asarray(samples, dtype=float)
+        k = x.shape[0]
+        if k < 2:
+            raise SamplingError(f"a sample mean needs at least 2 samples for its stderr, got {k}")
+        return cls(value=float(x.mean()), stderr=float(x.std(ddof=1) / math.sqrt(k)), count=k, seed=seed)
+
     def interval(self, k: float = 2.0) -> tuple[float, float]:
         """Return the symmetric ``k``-standard-error interval."""
         return (self.value - k * self.stderr, self.value + k * self.stderr)
@@ -41,14 +61,6 @@ class Estimate:
     def consistent_with(self, other: float, k: float = 3.0) -> bool:
         """True if ``other`` lies within ``k`` standard errors of the value."""
         return abs(self.value - other) <= k * self.stderr
-
-    def to_json(self) -> dict:
-        return {
-            "value": float(self.value),
-            "stderr": float(self.stderr),
-            "count": int(self.count),
-            "seed": self.seed if self.seed is None else int(self.seed),
-        }
 
 
 def combined_stderr(*errs: float) -> float:

@@ -51,14 +51,14 @@ from .errors import (
 )
 from .estimate import Estimate
 from .geometry import Domain, interval_bounds, unit_ball_volume
-from .reporting import canonical_hash
+from .reporting import Record, canonical_hash, jsonable
 from .sampling import sample_uniform
 
 # -- test functions ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TestFunction:
+class TestFunction(Record):
     """A scalar test function with (usually analytic) gradient.
 
     Kinds:
@@ -167,21 +167,6 @@ class TestFunction:
 
     def __call__(self, x) -> np.ndarray:
         return self.value(x)
-
-    def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (list, tuple)):
-                return [clean(u) for u in v]
-            return v
-
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {k: clean(v) for k, v in self.params.items()},
-            "label": self.label,
-        }
 
     def fingerprint(self) -> str:
         return canonical_hash(self.to_json())[:16]
@@ -302,9 +287,9 @@ def _context(f: TestFunction, body: Domain, m_or_grid, seed: int) -> _EvalContex
 def _mean(ctx: _EvalContext, samples: np.ndarray) -> tuple[float, float]:
     """Weighted mean and its stderr (0 in grid mode)."""
     mean = float(ctx.probs @ samples)
-    if ctx.mode == "grid" or ctx.count < 2:
+    if ctx.mode == "grid":
         return mean, 0.0
-    return mean, float(samples.std(ddof=1) / math.sqrt(ctx.count))
+    return mean, Estimate.of_samples(samples).stderr
 
 
 def entropy_functional(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
@@ -385,17 +370,15 @@ def kls_quantity(body: Domain, m: int = 100_000, seed: int = 0) -> Estimate:
     """
     cloud = sample_uniform(body, m, child_seed(seed, Purpose.KLS))
     mu = cloud.weights @ cloud.points
-    sq = ((cloud.points - mu) ** 2).sum(axis=1)
-    s = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return Estimate(value=1.0 / s, stderr=se / s**2, count=m, seed=seed)
+    sq = Estimate.of_samples(((cloud.points - mu) ** 2).sum(axis=1))
+    return Estimate(value=1.0 / sq.value, stderr=sq.stderr / sq.value**2, count=m, seed=seed)
 
 
 # -- trace log-Sobolev verification -------------------------------------------
 
 
 @dataclass(frozen=True)
-class TLSIReport:
+class TLSIReport(Record):
     """One verified trace log-Sobolev instance.
 
     slack = grad_term + bdry_term - lhs must be >= -tolerance for the
@@ -424,27 +407,9 @@ class TLSIReport:
     domain_fingerprint: str
 
     def to_json(self) -> dict:
-        out = {
-            "p": self.p,
-            "q": None if math.isinf(self.q) else self.q,
-            "q_infinite": bool(math.isinf(self.q)),
-            "lhs": self.lhs,
-            "grad_coeff": self.grad_coeff,
-            "grad_term": self.grad_term,
-            "bdry_coeff": self.bdry_coeff,
-            "bdry_term": self.bdry_term,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "resolution": self.resolution,
-            "interior_nodes": self.interior_nodes,
-            "boundary_nodes": self.boundary_nodes,
-            "volume": self.volume,
-            "dim": self.dim,
-            "f_fingerprint": self.f_fingerprint,
-            "domain_fingerprint": self.domain_fingerprint,
-        }
-        return out
+        # q is infinite at p = 1: null, with a flag saying so
+        q_infinite = math.isinf(self.q)
+        return {**super().to_json(), "q": None if q_infinite else self.q, "q_infinite": q_infinite}
 
 
 def tlsi_coefficients(p: float, n: int, volume: float) -> tuple[float, float, float]:
@@ -560,7 +525,7 @@ def tlsi_verify(
 
 
 @dataclass(frozen=True)
-class DirichletConstants:
+class DirichletConstants(Record):
     """Both sides of the moment comparison behind the Dirichlet corollary.
 
     prop_constant = |O|^(2/n) / ((n+2) w_n^(2/n)) and classical_bound =
@@ -573,15 +538,6 @@ class DirichletConstants:
     ratio: float
     stderr: float
     count: int
-
-    def to_json(self) -> dict:
-        return {
-            "prop_constant": self.prop_constant,
-            "classical_bound": self.classical_bound,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "count": self.count,
-        }
 
 
 def dirichlet_lsi_constants(domain: Domain, m_or_grid=64, seed: int = 0) -> DirichletConstants:
@@ -611,9 +567,9 @@ def dirichlet_lsi_constants(domain: Domain, m_or_grid=64, seed: int = 0) -> Diri
         spread = float(np.linalg.norm(cloud.points.std(axis=0, ddof=1)))
         if float(np.linalg.norm(centroid)) > max(4.0 * spread / math.sqrt(value), 0.01 * diam):
             raise FunctionalDomainError("domain must be centered at its centroid")
-        sq = (cloud.points**2).sum(axis=1)
-        classical = float(sq.mean()) / n
-        se = float(sq.std(ddof=1) / math.sqrt(value)) / n
+        sq = Estimate.of_samples((cloud.points**2).sum(axis=1))
+        classical = sq.value / n
+        se = sq.stderr / n
         count = value
     prop = vol ** (2.0 / n) / ((n + 2) * unit_ball_volume(n) ** (2.0 / n))
     ratio = prop / classical
@@ -631,7 +587,7 @@ def dirichlet_lsi_constants(domain: Domain, m_or_grid=64, seed: int = 0) -> Diri
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """One verified step: an inequality (slack = rhs - lhs) or an identity
     (slack = lhs - rhs, verdict on |slack|)."""
 
@@ -645,20 +601,14 @@ class StepRecord:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            **{k: float(v) for k, v in self.extras.items()},
-        }
+        # the extras sit beside the other fields
+        out = super().to_json()
+        out.update(out.pop("extras"))
+        return out
 
 
 @dataclass(frozen=True)
-class BrenierChain1D:
+class BrenierChain1D(Record):
     """The discretized 1-D proof chain for one (f, p).
 
     Everything is reported in the proof's normalized frame: the domain is
@@ -681,16 +631,19 @@ class BrenierChain1D:
         return all(s.verdict == "PASS" for s in self.steps)
 
     def to_json(self) -> dict:
-        return {
-            "bounds": [self.bounds[0], self.bounds[1]],
-            "p": self.p,
-            "q": None if math.isinf(self.q) else self.q,
-            "R": self.R,
-            "grid_points": self.grid_points,
-            "tv_error": self.tv_error,
-            "steps": [s.to_json() for s in self.steps],
-            "passed": self.passed(),
-        }
+        # a summary: the grids f_grid and transport_map are left out
+        return jsonable(
+            {
+                "bounds": self.bounds,
+                "p": self.p,
+                "q": None if math.isinf(self.q) else self.q,
+                "R": self.R,
+                "grid_points": self.grid_points,
+                "tv_error": self.tv_error,
+                "steps": self.steps,
+                "passed": self.passed(),
+            }
+        )
 
 
 def brenier_target_length(p: float, n: int = 1) -> float:

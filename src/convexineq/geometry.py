@@ -53,7 +53,7 @@ from .errors import (
 )
 from .estimate import Estimate
 from ._rng import CHUNK, Purpose, rng_for
-from .reporting import canonical_hash
+from .reporting import Record, canonical_hash
 
 _DET_FLOOR = 1e-12
 
@@ -74,7 +74,7 @@ def unit_sphere_area(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """An invertible affine map x -> linear @ x + shift."""
 
     linear: np.ndarray
@@ -121,9 +121,6 @@ class AffineMap:
     @staticmethod
     def identity(dim: int) -> "AffineMap":
         return AffineMap(np.eye(dim), np.zeros(dim))
-
-    def to_json(self) -> dict:
-        return {"linear": self.linear.tolist(), "shift": self.shift.tolist()}
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .estimate import Estimate
 from .geometry import AffineMap, ConvexBody, Domain
+from .reporting import Record
 from .sampling import PointCloud, sample_uniform
 
 def covariance(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +59,7 @@ def covariance(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class IsotropyReport:
+class IsotropyReport(Record):
     """Result of fitting the affine map to isotropic position.
 
     ``transform`` maps the original body to (approximate) isotropic position.
@@ -73,17 +74,6 @@ class IsotropyReport:
     isotropy_defect: float
     fit_count: int
     body_fingerprint: str
-
-    def to_json(self) -> dict:
-        return {
-            "centroid": self.centroid.tolist(),
-            "covariance": self.covariance.tolist(),
-            "transform": self.transform.to_json(),
-            "L_estimate": self.L_estimate.to_json(),
-            "isotropy_defect": float(self.isotropy_defect),
-            "fit_count": int(self.fit_count),
-            "body_fingerprint": self.body_fingerprint,
-        }
 
 
 def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> IsotropyReport:
@@ -105,9 +95,8 @@ def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Iso
 
     check_cloud = sample_uniform(body, m, child_seed(seed, Purpose.ISO_VALIDATE))
     mapped = transform.apply(check_cloud.points)
-    sq = (mapped**2).sum(axis=1)
-    q = float(sq.mean())
-    q_se = float(sq.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    sq = Estimate.of_samples((mapped**2).sum(axis=1))
+    q, q_se = sq.value, sq.stderr
     L = math.sqrt(q / n)
     L_se_sampling = q_se / (2.0 * math.sqrt(q * n)) if q > 0 else 0.0
     # if the volume itself was Monte Carlo, its relative error enters L

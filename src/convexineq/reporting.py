@@ -3,10 +3,19 @@
 All numeric CSV cells go through one %.12g formatter and rows keep a fixed
 column order, so reports from equal-seed runs compare byte for byte.  No
 report ever contains wall-clock data; timing lives in terminal output only.
+
+JSON has one form, decided once by ``jsonable``: arrays become lists,
+numpy scalars Python numbers, non-finite floats the strings "inf", "-inf"
+and "nan", and any object with a ``to_json`` (a record, a body, an affine
+map) its ``to_json()``.  A result record derives from :class:`Record`,
+whose ``to_json`` is its dataclass fields in declaration order through that
+same rule, so a new field needs no second edit and a record's JSON is strict
+JSON as returned.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,13 +57,13 @@ def write_csv(path, header, rows, manifest_hash=None) -> str:
     return text
 
 
-def _jsonable(obj):
+def jsonable(obj):
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -66,12 +75,22 @@ def _jsonable(obj):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
+    if hasattr(obj, "to_json"):
+        return jsonable(obj.to_json())
     return obj
+
+
+class Record:
+    """Base of the result dataclasses: ``to_json`` maps each field name, in
+    declaration order, to the field's value in the one JSON form."""
+
+    def to_json(self) -> dict:
+        return {f.name: jsonable(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
 def canonical_json(obj) -> str:
     """Sorted-key, minimal-separator JSON; the hashing and diffing format."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def canonical_hash(obj) -> str:
@@ -87,7 +106,7 @@ def manifest_hash(manifest: dict) -> str:
 def report_envelope(manifest: dict, payload: dict) -> dict:
     """Wrap a payload with the reproducibility header every report carries."""
     return {
-        "manifest": _jsonable(manifest),
+        "manifest": jsonable(manifest),
         "manifest_hash": manifest_hash(manifest),
         "seed": manifest.get("seed", 0),
         "version": VERSION,
@@ -97,5 +116,5 @@ def report_envelope(manifest: dict, payload: dict) -> dict:
 
 def write_json(path, manifest: dict, payload: dict) -> dict:
     report = report_envelope(manifest, payload)
-    Path(path).write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")
     return report

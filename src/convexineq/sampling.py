@@ -192,10 +192,4 @@ def estimate_mean_norm_p(body: Domain, p: float, m: int, seed: int) -> Estimate:
     if not (1.0 <= p <= 8.0):
         raise SamplingError(f"moment order must lie in [1, 8], got {p}")
     cloud = sample_uniform(body, m, seed)
-    v = np.linalg.norm(cloud.points, axis=1) ** p
-    return Estimate(
-        value=float(v.mean()),
-        stderr=float(v.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
-        count=m,
-        seed=seed,
-    )
+    return Estimate.of_samples(np.linalg.norm(cloud.points, axis=1) ** p, seed=seed)

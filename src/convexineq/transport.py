@@ -22,9 +22,11 @@ solving exact OT between equal-size samples, repeated ten times for a
 standard error.  ``tci_tau_upper_bound`` combines the exact relative entropy
 of nested uniform laws with these empirical distances: any inner body K with
 W_p(m_K, m_B) > 0 certifies tau_p(B) <= 2 H(m_K|m_B) / W_p(m_K, m_B)^2.
-Because W is estimated from finite samples (typically biased upward), the
-resulting bound errs on the conservative side; records carry stderr so
-callers can judge.
+The bound it reports is a plug-in value, not a certified one: W_p^p is
+jointly convex in the two laws, so by Jensen the m-point matching value is
+biased upward, and 2 H / W^2 is biased low, on the unsafe side of an upper
+bound.  The bias shrinks slowly in m and the records' stderr does not
+cover it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -48,6 +50,7 @@ from .errors import (
 from .estimate import Estimate
 from .geometry import Domain
 from .isotropy import relative_entropy_uniform
+from .reporting import Record, jsonable
 from .sampling import PointCloud, estimate_mean_norm_p, sample_uniform
 
 _EXACT_CAP = 4096
@@ -63,7 +66,7 @@ _RUNG_ITERS = 200
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     """Finitely supported probability measure.
 
     Support points and weights must be finite, and the weights must sum to
@@ -114,9 +117,6 @@ class DiscreteMeasure:
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.count, rtol=0, atol=1e-12))
 
-    def to_json(self) -> dict:
-        return {"support": self.support.tolist(), "weights": self.weights.tolist()}
-
 
 def _merge_duplicates(pts, w):
     # duplicates within 1e-12: group by rounded coordinates, sum weights; the
@@ -132,7 +132,7 @@ def _merge_duplicates(pts, w):
 
 
 @dataclass(frozen=True)
-class CouplingPlan:
+class CouplingPlan(Record):
     """A transport plan with its cost and solver provenance.
 
     ``cost`` is the p-th power transport cost of the stored plan (take the
@@ -160,25 +160,16 @@ class CouplingPlan:
         object.__setattr__(self, "plan", arr)
 
     def to_json(self) -> dict:
-        base = {
-            "cost": float(self.cost),
-            "p": int(self.p),
-            "solver": self.solver,
-            "marginal_residual": float(self.marginal_residual),
-            "iterations": int(self.iterations),
-            "epsilon": None if self.epsilon is None else float(self.epsilon),
-            "converged": bool(self.converged),
-            "marginal_defect": float(self.marginal_defect),
-            "shape": list(self.plan.shape),
-        }
-        if self.plan.shape[0] <= 64 and self.plan.shape[1] <= 64:
-            base["plan"] = self.plan.tolist()
+        # the plan in full up to 64 x 64, beyond that as (row, column, mass)
+        # triples of its nonzero entries
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "plan"}
+        out["shape"] = self.plan.shape
+        if max(self.plan.shape) <= 64:
+            out["plan"] = self.plan
         else:
             i, j = np.nonzero(self.plan)
-            base["plan_coo"] = [
-                [int(a), int(b), float(self.plan[a, b])] for a, b in zip(i, j)
-            ]
-        return base
+            out["plan_coo"] = [(a, b, self.plan[a, b]) for a, b in zip(i, j)]
+        return jsonable(out)
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> np.ndarray:
@@ -461,12 +452,7 @@ def wasserstein_empirical(
         cb = sample_uniform(B, m, child_seed(seed, Purpose.EMPIRICAL_W, 2 * r + 1))
         plan = exact_ot(DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb), p)
         vals[r] = plan.cost ** (1.0 / p)
-    return Estimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-        count=reps,
-        seed=seed,
-    )
+    return Estimate.of_samples(vals, seed=seed)
 
 
 def wasserstein_1d(samplesA, samplesB, p: int = 1) -> float:
@@ -505,9 +491,12 @@ def tci_tau_records(
     m: int = 1024,
     seed: int = 0,
 ) -> tuple[Estimate, list[dict]]:
-    """Upper bound on tau_p(B) with one diagnostic record per inner body.
+    """Plug-in upper bound on tau_p(B) with one diagnostic record per inner body.
 
-    For each K contained in B, tau_p(B) <= 2 H(m_K|m_B) / W_p(m_K, m_B)^2.
+    For each K contained in B, tau_p(B) <= 2 H(m_K|m_B) / W_p(m_K, m_B)^2,
+    evaluated at the empirical W.  That W is biased upward (Jensen), so the
+    value is biased low, the unsafe side for an upper bound, by more than
+    ``tau_stderr`` at moderate m; it is an estimate, not a certificate.
     A sub-body is skipped (with a warning and a record) when its entropy
     vanishes or its empirical W is statistically indistinguishable from 0.
     """

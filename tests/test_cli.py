@@ -59,6 +59,12 @@ def test_report_envelope_fields():
     assert env["records"] == 7
 
 
+def test_package_version_is_the_reporting_version():
+    import convexineq
+
+    assert convexineq.__version__ is reporting.VERSION
+
+
 def test_version_has_one_source():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
@@ -235,6 +241,20 @@ def test_sample_count_over_the_exact_cap_rejected(tmp_path, capsys, command):
     manifest = {"command": command, "params": {"m": 5000}}
     assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
     assert "$.params.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "tci-bound"])
+def test_unsupported_cost_exponent_rejected(tmp_path, capsys, command):
+    manifest = {"command": command, "params": {"p": 3}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.p" in capsys.readouterr().err
+
+
+def test_single_wasserstein_repetition_rejected(tmp_path, capsys):
+    # one repetition has no spread to give the estimate a stderr
+    manifest = {"command": "wasserstein", "params": {"m": 8, "reps": 1}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.reps" in capsys.readouterr().err
 
 
 def test_workers_key_and_flag_rejected(tmp_path, capsys):

@@ -1,0 +1,124 @@
+"""Result records and the sample-mean rule behind their stderrs."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from convexineq import (
+    Ball,
+    Estimate,
+    SamplingError,
+    concentration,
+    functional,
+    geometry,
+    isotropy,
+    sampling,
+    transport,
+)
+from convexineq.reporting import Record
+
+INF, NAN = math.inf, math.nan
+
+
+# -- the sample-mean rule ---------------------------------------------------------------
+
+
+def test_of_samples_is_the_mean_with_its_standard_error():
+    x = np.array([1.0, 2.0, 4.0, 7.0])
+    est = Estimate.of_samples(x, seed=5)
+    assert est.value == x.mean()
+    assert est.stderr == x.std(ddof=1) / 2.0
+    assert (est.count, est.seed) == (4, 5)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_of_samples_rejects_fewer_than_two(k):
+    with pytest.raises(SamplingError, match="at least 2 samples"):
+        Estimate.of_samples(np.ones(k))
+
+
+ONE_SAMPLE = {
+    "estimate_mean_norm_p": lambda: sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 1, seed=0),
+    "mean_sq_norm": lambda: concentration._mean_sq_norm(Ball(1.0, 2), 1, 0),
+    "wasserstein_empirical": lambda: transport.wasserstein_empirical(Ball(1.0, 2), Ball(1.0, 2), m=8, reps=1),
+    "kls_quantity": lambda: functional.kls_quantity(Ball(1.0, 2), m=1),
+    "mc_functional": lambda: functional.variance_functional(
+        functional.random_trig(2, 1), Ball(1.0, 2), ("mc", 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", ONE_SAMPLE.values(), ids=ONE_SAMPLE.keys())
+def test_one_random_sample_has_no_stderr(call):
+    # a random value from one sample is not reported with stderr 0
+    with pytest.raises(SamplingError):
+        call()
+
+
+# -- record JSON ---------------------------------------------------------------------------
+
+
+def _records():
+    """One instance of every record type, holding inf and nan where a field can."""
+    est = Estimate(INF, 0.0, 1)
+    steps = (concentration.AuditStep("final", 1.0, INF, NAN, "REPORTED"),)
+    fit = concentration.ConcentrationFit(
+        "x[0]", np.array([0.5]), np.array([0.1]), np.array([0.1]), np.array([3]), np.array([0]), INF, NAN, 10, 0
+    )
+    tlsi = functional.tlsi_verify(geometry.interval(0.0, 1.0), functional.polynomial([(1.0, (0,))], 1), 1.0, 16)
+    step = functional.StepRecord("holder_young", "inequality", 1.0, INF, INF, 0.0, "PASS", {"A": NAN})
+    chain = functional.brenier_chain_check_1d(np.ones(33), (0.0, 1.0), p=1.0)
+    plan = transport.CouplingPlan(np.eye(2) / 2, INF, 1, "sinkhorn", NAN, epsilon=INF)
+    return [
+        est,
+        Estimate(NAN, 0.0, 1, seed=3),
+        geometry.AffineMap.identity(2),
+        transport.DiscreteMeasure.uniform([[0.0, 1.0], [2.0, 3.0]]),
+        plan,
+        dataclasses.replace(plan, plan=np.eye(65) / 65),
+        isotropy.IsotropyReport(
+            np.zeros(2), np.eye(2), geometry.AffineMap.identity(2), est, NAN, 10, "ab"
+        ),
+        fit,
+        concentration.TauProxyResult(est, (fit,), "x[0]"),
+        steps[0],
+        concentration.Lemma1Audit(INF, NAN, 2, steps, {"tau_proxy": est}, 8, 0, "k", "b"),
+        functional.polynomial([(1.0, (0, 1))], 2),
+        tlsi,
+        dataclasses.replace(tlsi, slack=NAN, tolerance=INF),
+        functional.DirichletConstants(1.0, 0.0, INF, NAN, 4),
+        step,
+        dataclasses.replace(chain, tv_error=NAN, steps=(step,)),
+    ]
+
+
+def test_every_record_type_writes_strict_json():
+    records = _records()
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    for rec in records:
+        json.dumps(rec.to_json(), allow_nan=False)
+
+
+def test_record_json_is_its_fields():
+    est = Estimate(np.float64(0.5), 0.25, np.int64(7), seed=np.int64(2))
+    assert est.to_json() == {"value": 0.5, "stderr": 0.25, "count": 7, "seed": 2}
+    rep = isotropy.IsotropyReport(np.zeros(2), np.eye(2), geometry.AffineMap.identity(2), est, INF, 10, "ab")
+    assert rep.to_json()["transform"] == {"linear": [[1.0, 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]}
+    assert rep.to_json()["L_estimate"] == est.to_json()
+    assert rep.to_json()["isotropy_defect"] == "inf"
+
+
+def test_only_records_with_another_shape_write_their_own_json():
+    own = {cls.__name__ for cls in Record.__subclasses__() if "to_json" in vars(cls)}
+    assert own == {"Lemma1Audit", "TLSIReport", "TauProxyResult", "CouplingPlan", "StepRecord", "BrenierChain1D"}
+
+
+def test_reshaped_records_keep_their_keys():
+    step = functional.StepRecord("s", "identity", 1.0, 2.0, -1.0, 0.5, "VIOLATION", {"A": 3.0})
+    assert step.to_json()["A"] == 3.0 and "extras" not in step.to_json()
+    big = transport.CouplingPlan(np.eye(65) / 65, 1.0, 2, "exact", 0.0).to_json()
+    assert big["shape"] == [65, 65] and "plan" not in big
+    assert big["plan_coo"][:2] == [[0, 0, 1 / 65], [1, 1, 1 / 65]]
