@@ -5,6 +5,7 @@ full-suite determinism criterion runs both passes itself, so this module
 executes the complete corpus twice plus the standalone runs.
 """
 
+import hashlib
 from dataclasses import replace
 from time import perf_counter
 
@@ -13,6 +14,10 @@ import pytest
 from convexineq import acceptance
 
 SEED = 0
+
+# SHA-256 of the seed-0 combined CSV of criteria 1-11 (174,529 bytes): the
+# oracle a refactor of the library or the criteria must leave unchanged
+SUITE_CSV_SHA256 = "dfe172b9b0a4f7ccae3b7eacd8fa346991c4dfcdb8c2ebd2ea7ed4bbc5e6087f"
 
 
 def _run(capsys, fn, index):
@@ -88,3 +93,4 @@ def test_criterion_12_suite_determinism(capsys):
     assert res.passed, res.detail
     failed = [f"criterion {r.index} {r.name}: {r.detail}" for r in suite.results if not r.passed]
     assert suite.passed, "failed inside the suite run: " + "; ".join(failed)
+    assert hashlib.sha256(suite.combined_csv().encode()).hexdigest() == SUITE_CSV_SHA256
