@@ -54,14 +54,6 @@ class Estimate(Record):
             raise SamplingError(f"a sample mean needs at least 2 samples for its stderr, got {k}")
         return cls(value=float(x.mean()), stderr=float(x.std(ddof=1) / math.sqrt(k)), count=k, seed=seed)
 
-    def interval(self, k: float = 2.0) -> tuple[float, float]:
-        """Return the symmetric ``k``-standard-error interval."""
-        return (self.value - k * self.stderr, self.value + k * self.stderr)
-
-    def consistent_with(self, other: float, k: float = 3.0) -> bool:
-        """True if ``other`` lies within ``k`` standard errors of the value."""
-        return abs(self.value - other) <= k * self.stderr
-
 
 def combined_stderr(*errs: float) -> float:
     """Standard error of a sum or difference of independent estimates."""

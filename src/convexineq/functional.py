@@ -169,7 +169,7 @@ class TestFunction(Record):
         return self.value(x)
 
     def fingerprint(self) -> str:
-        return canonical_hash(self.to_json())[:16]
+        return canonical_hash(self)[:16]
 
 
 def polynomial(terms, dim: int, label: str = "") -> TestFunction:

@@ -179,7 +179,7 @@ class _Region:
 
     @functools.cached_property
     def _fingerprint(self) -> str:
-        return canonical_hash(self.to_json())
+        return canonical_hash(self)
 
     def fingerprint(self) -> str:
         return self._fingerprint

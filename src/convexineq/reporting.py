@@ -7,7 +7,8 @@ report ever contains wall-clock data; timing lives in terminal output only.
 JSON has one form, decided once by ``jsonable``: arrays become lists,
 numpy scalars Python numbers, non-finite floats the strings "inf", "-inf"
 and "nan", and any object with a ``to_json`` (a record, a body, an affine
-map) its ``to_json()``.  A result record derives from :class:`Record`,
+map) its ``to_json()``, returned as is: every ``to_json`` already returns
+data in this form.  A result record derives from :class:`Record`,
 whose ``to_json`` is its dataclass fields in declaration order through that
 same rule, so a new field needs no second edit and a record's JSON is strict
 JSON as returned.
@@ -76,7 +77,8 @@ def jsonable(obj):
             return "inf" if v > 0 else "-inf"
         return v
     if hasattr(obj, "to_json"):
-        return jsonable(obj.to_json())
+        # every to_json returns data already in this form
+        return obj.to_json()
     return obj
 
 

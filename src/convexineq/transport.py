@@ -19,7 +19,7 @@ the plan records whether the iteration converged and its unrounded defect.
 
 ``wasserstein_empirical`` estimates W_p between uniform laws on two bodies by
 solving exact OT between equal-size samples, repeated ten times for a
-standard error.  ``tci_tau_upper_bound`` combines the exact relative entropy
+standard error.  ``tci_tau_records`` combines the exact relative entropy
 of nested uniform laws with these empirical distances: any inner body K with
 W_p(m_K, m_B) > 0 certifies tau_p(B) <= 2 H(m_K|m_B) / W_p(m_K, m_B)^2.
 The bound it reports is a plug-in value, not a certified one: W_p^p is
@@ -536,11 +536,3 @@ def tci_tau_records(
         raise SamplingError("all sub-bodies were skipped; no usable tau bound")
     est = Estimate(value=best[0], stderr=best[1], count=m, seed=seed)
     return est, records
-
-
-def tci_tau_upper_bound(
-    B: Domain, sub_bodies: list, p: int = 1, m: int = 1024, seed: int = 0
-) -> Estimate:
-    """Minimum over sub-bodies of 2 H / W_p^2, an upper bound on tau_p(B)."""
-    est, _ = tci_tau_records(B, sub_bodies, p=p, m=m, seed=seed)
-    return est

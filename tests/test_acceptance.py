@@ -71,6 +71,15 @@ def test_criterion_08_brenier_chain(capsys):
     _run(capsys, acceptance.criterion_8, 8)
 
 
+def test_brenier_corpus_scales_every_step_tolerance():
+    # the trig chain's integration-by-parts slack is discretization error,
+    # inside its tolerance at scale 1 and a violation at scale 0
+    args = {"count": 1, "ps": (2.0,), "points": 129}
+    assert not acceptance.brenier_corpus(1.0, **args).violations
+    failed = {(v["f_id"], v["step"]) for v in acceptance.brenier_corpus(0.0, **args).violations}
+    assert ("trig-1d-000", "integration_by_parts") in failed
+
+
 def test_criterion_09_spectral_quotients(capsys):
     _run(capsys, acceptance.criterion_9, 9)
 

@@ -165,10 +165,17 @@ def test_tlsi_verify_small_corpus(tmp_path, capsys):
     assert all(line.endswith("PASS") for line in lines[2:])
 
 
-def test_unknown_corpus_domain_exits_one(tmp_path, capsys):
-    manifest = {"command": "tlsi-verify", "params": {"domains": ["pentagon"]}}
-    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 1
-    assert "error:" in capsys.readouterr().err
+UNKNOWN_NAMES = [
+    ({"command": "tlsi-verify", "params": {"domains": ["pentagon"]}}, "$.params.domains[0]"),
+    ({"command": "lemma1-audit", "params": {"pair": "nope"}}, "$.params.pair"),
+]
+
+
+@pytest.mark.parametrize("manifest,path", UNKNOWN_NAMES, ids=["domain", "pair"])
+def test_unknown_corpus_name_exits_two(tmp_path, capsys, manifest, path):
+    # a name outside the corpus is a bad manifest, not a violated inequality
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_zero_tolerance_negative_control(tmp_path, capsys):
@@ -236,7 +243,7 @@ def test_malformed_body_param_rejected(tmp_path, capsys):
     assert "$.params.body" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["wasserstein", "tci-bound"])
+@pytest.mark.parametrize("command", ["wasserstein", "tci-bound", "lemma1-audit"])
 def test_sample_count_over_the_exact_cap_rejected(tmp_path, capsys, command):
     manifest = {"command": command, "params": {"m": 5000}}
     assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2

@@ -12,13 +12,14 @@ from convexineq import (
     Estimate,
     SamplingError,
     concentration,
+    corpora,
     functional,
     geometry,
     isotropy,
     sampling,
     transport,
 )
-from convexineq.reporting import Record
+from convexineq.reporting import Record, jsonable
 
 INF, NAN = math.inf, math.nan
 
@@ -114,6 +115,40 @@ def test_record_json_is_its_fields():
 def test_only_records_with_another_shape_write_their_own_json():
     own = {cls.__name__ for cls in Record.__subclasses__() if "to_json" in vars(cls)}
     assert own == {"Lemma1Audit", "TLSIReport", "TauProxyResult", "CouplingPlan", "StepRecord", "BrenierChain1D"}
+
+
+def test_jsonable_returns_a_to_json_as_is():
+    data = {"a": [1, 2.5], "b": "x"}
+
+    class Stub:
+        def to_json(self):
+            return data
+
+    assert jsonable(Stub()) is data
+    assert jsonable([Stub()])[0] is data
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_body_variant_writes_strict_json():
+    # jsonable hands a body's to_json on unchanged, so it must already be strict JSON
+    bodies = [
+        Ball(0.5, 3),
+        geometry.Cube(1.0, 2),
+        geometry.L1Ball(1.0, 2),
+        geometry.HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 1.0, 0.5])),
+        geometry.apply_affine(geometry.L1Ball(1.0, 2), [[2.0, 0.3], [0.0, 1.0]], [0.1, -0.2]),
+        geometry.interval(0.25, 1.75),
+        corpora.lshape(),
+    ]
+    variants = {cls for cls in _subclasses(geometry._Region) if "to_json" in vars(cls)}
+    assert {type(b) for b in bodies} == variants
+    for body in bodies:
+        json.dumps(body.to_json(), allow_nan=False)
 
 
 def test_reshaped_records_keep_their_keys():
