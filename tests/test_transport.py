@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from convexineq import (
     Ball,
+    Cube,
     DiscreteMeasure,
     NotNormalizedError,
     SamplingError,
@@ -15,6 +19,9 @@ from convexineq import (
     corpora,
     transport,
 )
+from convexineq._rng import Purpose, child_seed
+from convexineq.estimate import Estimate
+from convexineq.sampling import sample_uniform
 
 
 def _uniform(rng, k, d=2):
@@ -49,6 +56,42 @@ def test_cost_matrix_exponent_validation():
     mu, nu = _uniform(rng, 3), _uniform(rng, 3)
     with pytest.raises(SolverError):
         transport.cost_matrix(mu, nu, 3)
+
+
+def _einsum_cost(mu, nu, p):
+    # the m x m x n difference tensor form that cost_matrix replaced
+    diff = mu.support[:, None, :] - nu.support[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return d2 if p == 2 else np.sqrt(d2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_cost_matrix_matches_the_difference_tensor_form(n, p):
+    rng = np.random.default_rng(10 + n)
+    mu = DiscreteMeasure.uniform(rng.normal(size=(300, n)))
+    nu = DiscreteMeasure.uniform(rng.normal(size=(257, n)))
+    new, old = transport.cost_matrix(mu, nu, p), _einsum_cost(mu, nu, p)
+    if n <= 2:
+        # one sum at most, which no summation order can round differently
+        assert np.array_equal(new, old)
+    else:
+        # einsum sums the coordinates in SIMD lanes, another order
+        assert np.all(np.abs(new - old) <= 4.0 * np.spacing(old))
+
+
+def test_cost_matrix_holds_no_difference_tensor():
+    rng = np.random.default_rng(11)
+    mu = DiscreteMeasure.uniform(rng.random((1024, 3)))
+    nu = DiscreteMeasure.uniform(rng.random((1024, 3)))
+    tracemalloc.start()
+    try:
+        transport.cost_matrix(mu, nu, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result and one scratch matrix are 16 MiB; the 3-D tensor was 24
+    assert peak <= 20 * 2**20
 
 
 def test_exact_ot_matches_oracle_small():
@@ -245,6 +288,67 @@ def test_empirical_bias_decreases_with_m():
         for m in (64, 256, 1024)
     ]
     assert vals[0] > vals[1] > vals[2]
+
+
+def _serial_wasserstein(A, B, p, m, seed, reps):
+    vals = np.empty(reps)
+    for r in range(reps):
+        ca = sample_uniform(A, m, child_seed(seed, Purpose.EMPIRICAL_W, 2 * r))
+        cb = sample_uniform(B, m, child_seed(seed, Purpose.EMPIRICAL_W, 2 * r + 1))
+        mu, nu = DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb)
+        vals[r] = transport.exact_ot(mu, nu, p).cost ** (1.0 / p)
+    return Estimate.of_samples(vals, seed=seed)
+
+
+W_PAIRS = {
+    "disk-square": (Ball(1.0, 2), Cube(1.0, 2)),
+    "cube-in-ball-3d": (Cube(1.0, 3), Ball(1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("reps", [2, 3, 10])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("pair", W_PAIRS.values(), ids=W_PAIRS.keys())
+def test_wasserstein_empirical_equals_the_serial_loop(pair, p, reps):
+    A, B = pair
+    serial = _serial_wasserstein(A, B, p, 96, 7, reps)
+    first = transport.wasserstein_empirical(A, B, p=p, m=96, seed=7, reps=reps)
+    again = transport.wasserstein_empirical(A, B, p=p, m=96, seed=7, reps=reps)
+    for est in (first, again):
+        assert (est.value, est.stderr, est.count, est.seed) == (
+            serial.value, serial.stderr, serial.count, serial.seed
+        )
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_wasserstein_empirical_does_not_depend_on_the_pool_size(monkeypatch, cpus):
+    # eight threads on fewer cores, switching often, finish in shuffled order
+    A, B = W_PAIRS["cube-in-ball-3d"]
+    serial = _serial_wasserstein(A, B, 1, 64, 4, 10)
+    monkeypatch.setattr(transport, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = transport.wasserstein_empirical(A, B, p=1, m=64, seed=4, reps=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (est.value, est.stderr) == (serial.value, serial.stderr)
+
+
+def test_wasserstein_empirical_raises_a_repetitions_error_and_leaves_no_thread(monkeypatch):
+    bad_seed = child_seed(5, Purpose.EMPIRICAL_W, 2 * 3)
+    real = transport.sample_uniform
+
+    def failing(body, m, seed):
+        if seed == bad_seed:
+            raise SamplingError("repetition 3 failed")
+        return real(body, m, seed)
+
+    monkeypatch.setattr(transport, "sample_uniform", failing)
+    before = threading.active_count()
+    with pytest.raises(SamplingError, match="repetition 3 failed"):
+        transport.wasserstein_empirical(Ball(1.0, 2), Cube(1.0, 2), p=1, m=64, seed=5, reps=10)
+    assert threading.active_count() == before
 
 
 def test_w1_to_point_mass_disk():
