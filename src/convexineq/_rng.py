@@ -55,7 +55,6 @@ class Purpose(enum.IntEnum):
     TCI_W = 32
     # functional
     FUNCTIONAL_MC = 40
-    KLS = 44
     DIRICHLET_MC = 45
     TRIG = 46
     # concentration

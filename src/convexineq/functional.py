@@ -1,5 +1,5 @@
-"""Entropy and variance functionals, spectral quotients, and the trace
-log-Sobolev machinery.
+"""Test functions, spectral quotients, and the trace log-Sobolev
+machinery.
 
 Quotient conventions (mu is the uniform probability law on the body):
 
@@ -36,7 +36,10 @@ chain using the pushforward identity for the q-th moment of T.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +59,29 @@ from .sampling import sample_uniform
 
 # -- test functions ----------------------------------------------------------
 
+# points per block of a trigonometric evaluation: a (terms x block) table of
+# six terms is 96 KiB, small enough to be reused from the heap; tables of
+# many thousand points are mapped fresh and page-faulted in on every call
+_TRIG_BLOCK = 2048
+
+_CONTAINERS = (dict, types.MappingProxyType, list, tuple, np.ndarray)
+
+
+def _frozen(value):
+    """``value`` with every dict made read-only and every list, tuple and
+    array made a tuple, all the way down."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple([_frozen(v) if isinstance(v, _CONTAINERS) else v for v in value])
+    if isinstance(value, (dict, types.MappingProxyType)):
+        return types.MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return value
+
 
 @dataclass(frozen=True)
 class TestFunction(Record):
-    """A scalar test function with (usually analytic) gradient.
+    """A scalar test function with an analytic gradient.
 
     Kinds:
         polynomial:     params["terms"] = [(coef, exponent tuple)], value
@@ -68,19 +90,23 @@ class TestFunction(Record):
                         [(a, b, freq vector k)], value sum of
                         a cos(pi k.x) + b sin(pi k.x).
         radial:         params["coeffs"] = c_0..c_d over t = |x|^2.
-        user_grid:      params["xs"], params["ys"]; 1-D piecewise-linear
-                        interpolation with piecewise-constant gradient
-                        (analytic_gradient is False for this kind).
+
+    ``params`` is read-only from construction on: a mapping proxy whose
+    lists are tuples, so the fingerprint and the trigonometric coefficient
+    arrays, each computed once per object, cannot go stale.  The
+    trigonometric kind evaluates all terms at once on a (terms x points)
+    table of phases and adds its rows in term order, so every value and
+    gradient is bit for bit the one a per-term loop gives.  Nothing that
+    depends on the evaluation points is kept between calls.
     """
 
     kind: str
     dim: int
-    params: dict
+    params: Mapping
     label: str = ""
 
-    @property
-    def analytic_gradient(self) -> bool:
-        return self.kind != "user_grid"
+    def __post_init__(self):
+        object.__setattr__(self, "params", _frozen(self.params))
 
     def _pts(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -100,15 +126,10 @@ class TestFunction(Record):
                 out += coef * np.prod(pts ** np.asarray(expo, dtype=float), axis=1)
             return out
         if self.kind == "trigonometric":
-            out = np.full(pts.shape[0], float(self.params.get("const", 0.0)))
-            for a, b, _, cos, sin in self._trig_terms(pts):
-                out += a * cos + b * sin
-            return out
+            return self._trig(pts, value=True, gradient=False)[0]
         if self.kind == "radial":
             t = (pts**2).sum(axis=1)
             return np.polynomial.polynomial.polyval(t, np.asarray(self.params["coeffs"]))
-        if self.kind == "user_grid":
-            return np.interp(pts[:, 0], self.params["xs"], self.params["ys"])
         raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
 
     def gradient(self, x) -> np.ndarray:
@@ -125,51 +146,84 @@ class TestFunction(Record):
                     out[:, i] += coef * expo[i] * pts[:, i] ** (expo[i] - 1.0) * partial
             return out
         if self.kind == "trigonometric":
-            out = np.zeros_like(pts)
-            for a, b, k, cos, sin in self._trig_terms(pts):
-                radial = -a * sin + b * cos
-                out += math.pi * radial[:, None] * k[None, :]
-            return out
+            return self._trig(pts, value=False, gradient=True)[1]
         if self.kind == "radial":
             t = (pts**2).sum(axis=1)
             deriv = np.polynomial.polynomial.polyval(
                 t, np.polynomial.polynomial.polyder(np.asarray(self.params["coeffs"]))
             )
             return 2.0 * deriv[:, None] * pts
-        if self.kind == "user_grid":
-            xs = np.asarray(self.params["xs"], dtype=float)
-            ys = np.asarray(self.params["ys"], dtype=float)
-            slopes = np.diff(ys) / np.diff(xs)
-            idx = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, len(slopes) - 1)
-            return slopes[idx][:, None]
         raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
 
     def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(value(x), gradient(x)), bit for bit; the trigonometric kind
-        evaluates each term's phase, cosine and sine once for both."""
+        """(value(x), gradient(x)), bit for bit; the trigonometric kind takes
+        both from one (terms x points) table of phases, cosines and sines."""
         if self.kind != "trigonometric":
             return self.value(x), self.gradient(x)
-        pts = self._pts(x)
-        val = np.full(pts.shape[0], float(self.params.get("const", 0.0)))
-        grad = np.zeros_like(pts)
-        for a, b, k, cos, sin in self._trig_terms(pts):
-            val += a * cos + b * sin
-            radial = -a * sin + b * cos
-            grad += math.pi * radial[:, None] * k[None, :]
-        return val, grad
+        return self._trig(self._pts(x), value=True, gradient=True)
 
-    def _trig_terms(self, pts):
-        """(a, b, k, cos(pi k.x), sin(pi k.x)) for each trigonometric term."""
-        for a, b, k in self.params["terms"]:
-            k = np.asarray(k, dtype=float)
-            phase = math.pi * (pts @ k)
-            yield a, b, k, np.cos(phase), np.sin(phase)
+    @functools.cached_property
+    def _trig_coefficients(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """(const, a, b, K): a and b as (terms, 1) columns, the frequency
+        vectors as the rows of the (terms, dim) matrix K."""
+        terms = self.params["terms"]
+        n = len(terms)
+        a = np.array([t[0] for t in terms], dtype=float).reshape(n, 1)
+        b = np.array([t[1] for t in terms], dtype=float).reshape(n, 1)
+        K = np.array([t[2] for t in terms], dtype=float).reshape(n, self.dim)
+        for arr in (a, b, K):
+            arr.setflags(write=False)
+        return float(self.params.get("const", 0.0)), a, b, K
+
+    def _trig(self, pts, value: bool, gradient: bool):
+        """(value or None, gradient or None) of the trigonometric kind.
+
+        Row j of the table is the phase pi k_j.x at every point, from one
+        matrix-vector product per term, which rounds as ``pts @ k_j`` does;
+        cosine, sine and the coefficients then act on the whole table.  The
+        rows are added with an explicit ``+=`` in term order: ``np.add.reduce``
+        over axis 0 sums pairwise when the table has one column.  The points
+        go through in blocks of ``_TRIG_BLOCK``, so that the temporaries stay
+        small however many points there are; no point's result depends on
+        which block it is in.
+        """
+        const, a, b, K = self._trig_coefficients
+        n = pts.shape[0]
+        val = np.full(n, const) if value else None
+        grad_t = np.zeros((self.dim, n)) if gradient else None
+        for start in range(0, n, _TRIG_BLOCK):
+            block = slice(start, start + _TRIG_BLOCK)
+            x = pts[block]
+            phase = np.empty((K.shape[0], x.shape[0]))
+            for k, row in zip(K, phase):
+                np.matmul(x, k, out=row)
+            phase *= math.pi
+            cos, sin = np.cos(phase), np.sin(phase)
+            if value:
+                terms = a * cos
+                terms += b * sin
+                for row in terms:
+                    val[block] += row
+            if gradient:
+                radial = -a * sin
+                radial += b * cos
+                radial *= math.pi
+                # laid out (dim, terms, points), so that every product and sum
+                # runs along contiguous points rather than along the short dim axis
+                parts = K.T[:, :, None] * radial
+                for j in range(K.shape[0]):
+                    grad_t[:, block] += parts[:, j]
+        return val, None if grad_t is None else grad_t.T.copy()
 
     def __call__(self, x) -> np.ndarray:
         return self.value(x)
 
-    def fingerprint(self) -> str:
+    @functools.cached_property
+    def _fingerprint(self) -> str:
         return canonical_hash(self)[:16]
+
+    def fingerprint(self) -> str:
+        return self._fingerprint
 
 
 def polynomial(terms, dim: int, label: str = "") -> TestFunction:
@@ -192,16 +246,6 @@ def trigonometric(const: float, terms, dim: int, label: str = "") -> TestFunctio
 
 def radial(coeffs, dim: int, label: str = "") -> TestFunction:
     return TestFunction("radial", dim, {"coeffs": list(map(float, coeffs))}, label)
-
-
-def from_grid(xs, ys, label: str = "") -> TestFunction:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.shape[0] < 2:
-        raise FunctionalDomainError("grid function needs matching 1-D arrays of length >= 2")
-    if np.any(np.diff(xs) <= 0):
-        raise FunctionalDomainError("grid abscissae must be strictly increasing")
-    return TestFunction("user_grid", 1, {"xs": xs.tolist(), "ys": ys.tolist()}, label)
 
 
 def random_trig(
@@ -292,40 +336,6 @@ def _mean(ctx: _EvalContext, samples: np.ndarray) -> tuple[float, float]:
     return mean, Estimate.of_samples(samples).stderr
 
 
-def entropy_functional(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
-    """Ent_mu(f) = E[f log f] - E[f] log E[f] for nonnegative f.
-
-    Homogeneous of degree one: Ent(c f) = c Ent(f).
-    """
-    ctx = _context(f, body, m_or_grid, seed)
-    v = f.value(ctx.nodes)
-    scale = float(np.abs(v).max()) + 1e-300
-    if np.any(v < -1e-9 * scale):
-        raise FunctionalDomainError(
-            f"entropy requires f >= 0; minimum value {v.min():.6g} at a node"
-        )
-    v = np.maximum(v, 0.0)
-    ef = float(ctx.probs @ v)
-    if ef <= 1e-300:
-        raise FunctionalDomainError("entropy undefined: E[f] = 0")
-    h = _xlogx(v) - (math.log(ef) + 1.0) * v
-    # E[h] + E[f] = Ent(f); the shifted integrand h gives the delta-method
-    # stderr of the full nonlinear functional in one pass
-    mean_h, se = _mean(ctx, h)
-    return Estimate(value=mean_h + ef, stderr=se, count=ctx.count, seed=seed)
-
-
-def variance_functional(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
-    """Var_mu(f) with a delta-method stderr in Monte Carlo mode."""
-    ctx = _context(f, body, m_or_grid, seed)
-    v = f.value(ctx.nodes)
-    ev = float(ctx.probs @ v)
-    var = float(ctx.probs @ (v - ev) ** 2)
-    h = (v - ev) ** 2
-    _, se = _mean(ctx, h)
-    return Estimate(value=var, stderr=se, count=ctx.count, seed=seed)
-
-
 def rayleigh_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
     """E|grad f|^2 / Var(f), an upper bound for the spectral gap of the body."""
     ctx = _context(f, body, m_or_grid, seed)
@@ -360,18 +370,6 @@ def lsi_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> 
     value = num / den
     rel = math.hypot(se_num / num if num else 0.0, se_den / den)
     return Estimate(value=value, stderr=value * rel, count=ctx.count, seed=seed)
-
-
-def kls_quantity(body: Domain, m: int = 100_000, seed: int = 0) -> Estimate:
-    """Reciprocal mean squared distance to the barycenter.
-
-    The spectral gap of a convex body is bounded below by an absolute
-    constant times this quantity; the constant is not applied here.
-    """
-    cloud = sample_uniform(body, m, child_seed(seed, Purpose.KLS))
-    mu = cloud.weights @ cloud.points
-    sq = Estimate.of_samples(((cloud.points - mu) ** 2).sum(axis=1))
-    return Estimate(value=1.0 / sq.value, stderr=sq.stderr / sq.value**2, count=m, seed=seed)
 
 
 # -- trace log-Sobolev verification -------------------------------------------
@@ -469,8 +467,11 @@ def tlsi_verify(
     resolution and reports slack with a PASS/VIOLATION verdict.  Negative
     slack beyond tolerance is flagged, never silently accepted.  At each
     resolution, f and its gradient come from one ``value_and_gradient`` pass
-    over the interior nodes, and the meshes are the domain's cached ones, so
-    repeated checks on one domain object build each mesh once.
+    over the interior nodes (for a trigonometric f, one terms x nodes table
+    of phases, cosines and sines), and the meshes are the domain's cached
+    ones, so repeated checks on one domain object build each mesh once.
+    f's coefficient arrays and fingerprint are computed once per function
+    object; no value at any node is kept from one check to the next.
 
     The tolerance is calibrated once per instance at a fixed coarse anchor:
     the term drift between resolutions 16 and 8 (plus a small relative

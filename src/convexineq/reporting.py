@@ -4,11 +4,11 @@ All numeric CSV cells go through one %.12g formatter and rows keep a fixed
 column order, so reports from equal-seed runs compare byte for byte.  No
 report ever contains wall-clock data; timing lives in terminal output only.
 
-JSON has one form, decided once by ``jsonable``: arrays become lists,
-numpy scalars Python numbers, non-finite floats the strings "inf", "-inf"
-and "nan", and any object with a ``to_json`` (a record, a body, an affine
-map) its ``to_json()``, returned as is: every ``to_json`` already returns
-data in this form.  A result record derives from :class:`Record`,
+JSON has one form, decided once by ``jsonable``: arrays become lists, any
+mapping a dict, numpy scalars Python numbers, non-finite floats the strings
+"inf", "-inf" and "nan", and any object with a ``to_json`` (a record, a
+body, an affine map) its ``to_json()``, returned as is: every ``to_json``
+already returns data in this form.  A result record derives from :class:`Record`,
 whose ``to_json`` is its dataclass fields in declaration order through that
 same rule, so a new field needs no second edit and a record's JSON is strict
 JSON as returned.
@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,6 @@ def write_csv(path, header, rows, manifest_hash=None) -> str:
 
 
 def jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -76,6 +75,10 @@ def jsonable(obj):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
+    # after the scalars: an ABC check costs more than a type check, and the
+    # elements of an array pass through here one by one
+    if isinstance(obj, Mapping):
+        return {k: jsonable(v) for k, v in obj.items()}
     if hasattr(obj, "to_json"):
         # every to_json returns data already in this form
         return obj.to_json()

@@ -49,20 +49,6 @@ def test_radial_gradient_points_outward():
     assert np.allclose(f.gradient(pts), 2.0 * pts)
 
 
-def test_from_grid_interpolates():
-    f = functional.from_grid([0.0, 1.0], [0.0, 2.0])
-    assert not f.analytic_gradient
-    assert f.value(np.array([[0.25]]))[0] == pytest.approx(0.5)
-    assert f.gradient(np.array([[0.25]]))[0, 0] == pytest.approx(2.0)
-
-
-def test_from_grid_validation():
-    with pytest.raises(FunctionalDomainError):
-        functional.from_grid([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(FunctionalDomainError):
-        functional.from_grid([0.0], [1.0])
-
-
 def test_dimension_mismatch_detected():
     f = functional.linear([1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
@@ -105,6 +91,18 @@ def test_gradient_against_finite_differences(f):
     assert np.abs(analytic - numeric).max() / scale <= 1e-6
 
 
+def _per_term_reference(f, pts):
+    """Value and gradient of a trigonometric f by the per-term loop."""
+    ref_v = np.full(pts.shape[0], f.params["const"])
+    ref_g = np.zeros_like(pts)
+    for a, b, k in f.params["terms"]:
+        k = np.asarray(k, dtype=float)
+        phase = math.pi * (pts @ k)
+        ref_v += a * np.cos(phase) + b * np.sin(phase)
+        ref_g += math.pi * (-a * np.sin(phase) + b * np.cos(phase))[:, None] * k[None, :]
+    return ref_v, ref_g
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -113,55 +111,68 @@ def test_gradient_against_finite_differences(f):
         functional.random_trig(3, 8),
         functional.trigonometric(0.5, [(1.0, -0.5, (1,))], 1),
         functional.radial([1.0, 2.0, 0.5], 2),
-        functional.from_grid([0.0, 0.3, 1.0], [1.0, 2.0, 0.5]),
+    ]
+    + [
+        pytest.param(
+            functional.random_trig(dim, 70 + dim, n_terms=n), id=f"trigonometric-{n}terms-{dim}d"
+        )
+        for n in (1, 12)
+        for dim in (1, 2, 3)
     ],
     ids=lambda f: f"{f.kind}-{f.dim}d",
 )
 def test_value_and_gradient_match_separate_calls_bitwise(f):
     rng = np.random.default_rng(9)
-    pts = rng.uniform(-0.9, 0.9, size=(257, f.dim))
+    pts = rng.uniform(-0.9, 0.9, size=(2 * functional._TRIG_BLOCK + 3, f.dim))
+    # points over three evaluation blocks, one point, and non-contiguous views
+    for x in (pts, pts[:1], pts[:257:3], pts[::-5]):
+        value, grad = f.value_and_gradient(x)
+        for fused, alone in ((value, f.value(x)), (grad, f.gradient(x))):
+            assert fused.dtype == alone.dtype and fused.shape == alone.shape
+            assert fused.tobytes() == alone.tobytes()
+        if f.kind == "trigonometric":
+            # the per-term expressions the table evaluation must reproduce exactly
+            ref_v, ref_g = _per_term_reference(f, x)
+            assert value.tobytes() == ref_v.tobytes() and grad.tobytes() == ref_g.tobytes()
+
+
+def test_evaluation_keeps_nothing_from_earlier_points():
+    f = functional.random_trig(2, 12)
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(40, 2))
+    f.value_and_gradient(pts)
+    f.value(pts)
+    pts[::2] *= -0.5
+    pts[5] = [0.25, 0.75]
+    ref_v, ref_g = _per_term_reference(f, pts.copy())
     value, grad = f.value_and_gradient(pts)
-    for fused, alone in ((value, f.value(pts)), (grad, f.gradient(pts))):
-        assert fused.dtype == alone.dtype and fused.shape == alone.shape
-        assert fused.tobytes() == alone.tobytes()
-    if f.kind == "trigonometric":
-        # the per-term expressions the fused pass must reproduce exactly
-        ref_v = np.full(pts.shape[0], f.params["const"])
-        ref_g = np.zeros_like(pts)
-        for a, b, k in f.params["terms"]:
-            k = np.asarray(k, dtype=float)
-            phase = math.pi * (pts @ k)
-            ref_v += a * np.cos(phase) + b * np.sin(phase)
-            ref_g += math.pi * (-a * np.sin(phase) + b * np.cos(phase))[:, None] * k[None, :]
-        assert value.tobytes() == ref_v.tobytes() and grad.tobytes() == ref_g.tobytes()
+    assert value.tobytes() == ref_v.tobytes() and grad.tobytes() == ref_g.tobytes()
+    assert f.value(pts).tobytes() == ref_v.tobytes()
+    assert f.gradient(pts).tobytes() == ref_g.tobytes()
+
+
+def test_params_are_read_only():
+    f = corpora.trig_function(2, 3)
+    with pytest.raises(TypeError):
+        f.params["const"] = 9.0
+    with pytest.raises(TypeError):
+        f.params["terms"][0] = (1.0, 1.0, (1, 1))
+    assert isinstance(f.params["terms"], tuple) and isinstance(f.params["terms"][0][2], tuple)
+    # arrays and lists freeze to the form the pinned fingerprint was taken on
+    g = functional.polynomial([(0.5, np.array([0])), [0.2, [1]]], 1)
+    assert g.params["terms"] == ((0.5, (0,)), (0.2, (1,)))
+    assert g.fingerprint() == "de0a326faaf41720"
 
 
 # -- scalar functionals --------------------------------------------------------
 
 
-def test_entropy_exponential_oracle():
-    # for f = e^x on (0,1): E[f log f] = 1 and E[f] = e - 1
-    closed = 1.0 - (math.e - 1.0) * math.log(math.e - 1.0)
-    xs = np.linspace(0.0, 1.0, 4097)
-    f = functional.from_grid(xs, np.exp(xs))
-    est = functional.entropy_functional(f, INTERVAL, ("grid", 4096))
-    assert est.value == pytest.approx(closed, abs=1e-7)
-
-
-def test_entropy_rejects_negative_and_zero():
-    with pytest.raises(FunctionalDomainError, match="f >= 0"):
-        functional.entropy_functional(functional.linear([-1.0]), geometry.interval(0.5, 1.0), ("grid", 32))
-    with pytest.raises(FunctionalDomainError, match="E\\[f\\] = 0"):
-        functional.entropy_functional(functional.polynomial([], 1), INTERVAL, ("grid", 32))
-
-
-def test_variance_oracles():
-    assert functional.variance_functional(
-        functional.linear([1.0]), INTERVAL, ("grid", 4096)
-    ).value == pytest.approx(1.0 / 12.0, abs=1e-7)
-    assert functional.variance_functional(
-        functional.polynomial([(1.0, (2,))], 1), geometry.interval(-0.5, 0.5), ("grid", 4096)
-    ).value == pytest.approx(1.0 / 180.0, abs=1e-8)
+def test_rayleigh_quotient_polynomial_oracles():
+    # E|f'|^2 / Var f: 1 / (1/12) for x on (0, 1), (1/3) / (1/180) for x^2 on (-1/2, 1/2)
+    est = functional.rayleigh_quotient(functional.linear([1.0]), INTERVAL, ("grid", 4096))
+    assert est.value == pytest.approx(12.0, rel=1e-6)
+    square = functional.polynomial([(1.0, (2,))], 1)
+    est = functional.rayleigh_quotient(square, geometry.interval(-0.5, 0.5), ("grid", 4096))
+    assert est.value == pytest.approx(60.0, rel=1e-5)
 
 
 def test_rayleigh_first_dirichlet_neumann_mode():
@@ -201,26 +212,6 @@ def test_min_lsi_below_min_rayleigh():
     assert min(e.value for e in lsis) <= min(e.value for e in rays) * (1.0 + 4.0 * rel)
 
 
-def test_kls_quantity_oracles():
-    est = functional.kls_quantity(Cube(1.0, 2), m=200_000, seed=1)
-    assert abs(est.value - 6.0) <= 4.0 * est.stderr
-    est = functional.kls_quantity(Ball(1.0, 2), m=200_000, seed=1)
-    assert abs(est.value - 2.0) <= 4.0 * est.stderr
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(c=st.floats(0.01, 100.0))
-def test_entropy_scale_homogeneity(c):
-    """Ent(c f) = c Ent(f) for c > 0."""
-    g = _positive_trig(9)
-    gc = functional.trigonometric(
-        c * g.params["const"], [(c * a, c * b, k) for (a, b, k) in g.params["terms"]], 2
-    )
-    e1 = functional.entropy_functional(g, SQUARE, ("grid", 32)).value
-    e2 = functional.entropy_functional(gc, SQUARE, ("grid", 32)).value
-    assert e2 == pytest.approx(c * e1, rel=1e-9)
-
-
 # -- trace log-Sobolev reports --------------------------------------------------
 
 
@@ -233,6 +224,19 @@ def test_tlsi_constant_function():
     assert rep.grad_term == 0.0
     assert rep.bdry_term == pytest.approx(1.0, rel=1e-12)
     assert rep.slack == pytest.approx(1.0, rel=1e-9)
+
+
+def test_tlsi_entropy_side_oracle():
+    # Ent(|f|) for f = x on (0, 1): E[x log x] - E[x] log E[x] = (log 2 - 1/2) / 2
+    rep = functional.tlsi_verify(INTERVAL, functional.linear([1.0]), 1.0, 4096)
+    assert rep.lhs == pytest.approx((math.log(2.0) - 0.5) / 2.0, abs=1e-7)
+    assert rep.grad_term == pytest.approx(rep.grad_coeff, rel=1e-12)
+    assert rep.bdry_term == pytest.approx(rep.bdry_coeff, rel=1e-12)
+
+
+def test_tlsi_rejects_zero_function():
+    with pytest.raises(FunctionalDomainError, match="integrates to 0"):
+        functional.tlsi_verify(INTERVAL, functional.polynomial([], 1), 2.0, 24)
 
 
 def test_tlsi_boundary_vanishes_exactly():
@@ -266,6 +270,19 @@ def test_tlsi_scaling_in_f():
     assert r2.bdry_term / r1.bdry_term == pytest.approx(c**2, rel=1e-6)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.floats(0.01, 100.0))
+def test_tlsi_entropy_side_scale_homogeneity(c):
+    """Ent(|c f|^p) = c^p Ent(|f|^p) for c > 0."""
+    g = _positive_trig(9)
+    gc = functional.trigonometric(
+        c * g.params["const"], [(c * a, c * b, k) for (a, b, k) in g.params["terms"]], 2
+    )
+    e1 = functional.tlsi_verify(SQUARE, g, 1.5, 16).lhs
+    e2 = functional.tlsi_verify(SQUARE, gc, 1.5, 16).lhs
+    assert e2 == pytest.approx(c**1.5 * e1, rel=1e-9)
+
+
 def test_tlsi_scaling_in_domain():
     # dilating the domain and composing f with the inverse dilation leaves
     # every term unchanged
@@ -292,6 +309,27 @@ def test_tlsi_resolution_floor_and_dim_check():
         functional.tlsi_verify(SQUARE, f, 2.0, 8)
     with pytest.raises(DimensionMismatchError):
         functional.tlsi_verify(INTERVAL, f, 2.0, 24)
+
+
+class _PerTermFunction(functional.TestFunction):
+    """A trigonometric test function evaluated by the per-term loop; its
+    fields, and so its fingerprint, are those of the function it copies."""
+
+    def value(self, x):
+        return _per_term_reference(self, self._pts(x))[0]
+
+    def value_and_gradient(self, x):
+        return _per_term_reference(self, self._pts(x))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["interval", "square", "disk", "lshape"])
+def test_tlsi_matches_per_term_reference(name, p):
+    """Every report field equals the one the per-term loop gives."""
+    dom = corpora.domain_set()[name]
+    f = corpora.trig_function(dom.dim, 7)
+    ref = _PerTermFunction(f.kind, f.dim, f.params, f.label)
+    assert functional.tlsi_verify(dom, f, p, 24) == functional.tlsi_verify(dom, ref, p, 24)
 
 
 def test_tlsi_json_handles_infinite_q():
