@@ -32,6 +32,11 @@ Monge-Ampere identity, and numerically verifies each step: the pointwise
 logarithm bound log T' <= T' - 1 in integrated form, the integration by
 parts identity, the boundary bound through |T| <= R, and the Holder/Young
 chain using the pushforward identity for the q-th moment of T.
+
+This module needs only numpy.  The chain's running integrals use a private
+trapezoid sum with the arithmetic of scipy.integrate.cumulative_trapezoid,
+bit for bit, so that importing the package does not import scipy.integrate,
+which pulls in scipy.optimize and takes over half a second.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import geometry
 from ._rng import Purpose, child_seed, rng_for
@@ -410,14 +414,19 @@ class TLSIReport(Record):
         return {**super().to_json(), "q": None if q_infinite else self.q, "q_infinite": q_infinite}
 
 
+def _check_exponent(p: float) -> None:
+    # nan fails every comparison and inf gives nan terms, so both are refused
+    if not (math.isfinite(p) and p >= 1):
+        raise FunctionalDomainError(f"exponent must be finite with p >= 1, got {p}")
+
+
 def tlsi_coefficients(p: float, n: int, volume: float) -> tuple[float, float, float]:
     """(q, grad_coeff, bdry_coeff) for the trace log-Sobolev inequality.
 
     The gradient prefactor ((p-1)/(n+q))^(p-1) is 1 by convention at p = 1,
     and the full coefficient is continuous as p decreases to 1.
     """
-    if p < 1:
-        raise FunctionalDomainError(f"exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     omega = unit_ball_volume(n)
     if p == 1:
         q = math.inf
@@ -434,6 +443,7 @@ def _tlsi_terms(domain: Domain, f: TestFunction, p: float, resolution: int):
     nodes, w = geometry.interior_quadrature(domain, resolution)
     mesh = geometry.boundary_quadrature(domain, resolution)
     vol = float(w.sum())
+    q, grad_coeff, bdry_coeff = tlsi_coefficients(p, domain.dim, vol)
     values, grads = f.value_and_gradient(nodes)
     fp = np.abs(values) ** p
     probs = w / vol
@@ -444,7 +454,6 @@ def _tlsi_terms(domain: Domain, f: TestFunction, p: float, resolution: int):
     gn = np.linalg.norm(grads, axis=1)
     grad_int = float(w @ gn**p)
     bdry_int = float(mesh.weights @ np.abs(f.value(mesh.nodes)) ** p)
-    q, grad_coeff, bdry_coeff = tlsi_coefficients(p, domain.dim, vol)
     return {
         "q": q,
         "vol": vol,
@@ -659,6 +668,16 @@ def brenier_target_length(p: float, n: int = 1) -> float:
     return ((n + q) / (p - 1.0)) ** (n / q) * omega
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.
+
+    The arithmetic of scipy.integrate.cumulative_trapezoid(y, x, initial=0),
+    operation for operation, so the result is bit-identical to it without
+    importing scipy.integrate.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _chain_values(x: np.ndarray, f: np.ndarray, p: float) -> dict:
     """All chain quantities on one grid, in the normalized frame."""
     L = x[-1] - x[0]
@@ -672,7 +691,7 @@ def _chain_values(x: np.ndarray, f: np.ndarray, p: float) -> dict:
     # normalize f so the average of f^p is exactly one on this grid
     f = f / total ** (1.0 / p)
     fp = f**p
-    cum = cumulative_trapezoid(fp, x, initial=0.0)
+    cum = _cumulative_trapezoid(fp, x)
     F = cum / cum[-1]
     T = -R + 2.0 * R * F
     if np.any(np.diff(T) < 0):
@@ -715,8 +734,7 @@ def brenier_chain_check_1d(f_grid, domain, p: float = 2.0) -> BrenierChain1D:
     scaled so the average of f^p is one).  Each step is checked against a
     tolerance estimated from the half-resolution grid.
     """
-    if p < 1:
-        raise FunctionalDomainError(f"exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     f0 = np.asarray(f_grid, dtype=float).ravel()
     if f0.shape[0] < 9:
         raise FunctionalDomainError(f"need at least 9 grid values, got {f0.shape[0]}")
@@ -821,7 +839,7 @@ def _pushforward_tv(x, f, T, p, R):
     """
     xf = np.linspace(x[0], x[-1], 4 * (x.shape[0] - 1) + 1)
     ff = np.interp(xf, x, f) ** p
-    cum = cumulative_trapezoid(ff, xf, initial=0.0)
+    cum = _cumulative_trapezoid(ff, xf)
     F = cum / cum[-1]
     Tf = np.interp(xf, x, T)
     bins = np.linspace(-R, R, 201)

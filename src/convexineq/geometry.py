@@ -32,6 +32,11 @@ Conventions used throughout:
 Serialization is canonical JSON; a body's fingerprint is the SHA-256 of that
 form, computed once per body object, and is used to tie sampled point clouds
 back to the body they came from.
+
+Only :class:`HPolytope` solves linear programs (its interior certificate,
+bounding box and support function), so it imports scipy.optimize inside
+those methods, on first use: that import takes about half a second, and
+the other bodies need only numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateBodyError,
@@ -634,6 +638,8 @@ class HPolytope(ConvexBody):
         self._bbox = self._compute_bbox()
 
     def _compute_chebyshev(self):
+        from scipy.optimize import linprog
+
         n = self.dim
         # maximize r subject to A x + r <= b (rows are unit-normalized)
         c = np.zeros(n + 1)
@@ -653,6 +659,8 @@ class HPolytope(ConvexBody):
         return _read_only(center), float(radius)
 
     def _compute_bbox(self):
+        from scipy.optimize import linprog
+
         n = self.dim
         lo = np.empty(n)
         hi = np.empty(n)
@@ -685,6 +693,8 @@ class HPolytope(ConvexBody):
         return np.all(pts @ self.A.T <= self.b + tol * scale, axis=1)
 
     def support(self, u):
+        from scipy.optimize import linprog
+
         u = np.asarray(u, dtype=float)
         res = linprog(-u, A_ub=self.A, b_ub=self.b,
                       bounds=[(None, None)] * self.dim, method="highs")

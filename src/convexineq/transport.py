@@ -32,6 +32,12 @@ jointly convex in the two laws, so by Jensen the m-point matching value is
 biased upward, and 2 H / W^2 is biased low, on the unsafe side of an upper
 bound.  The bias shrinks slowly in m and the records' stderr does not
 cover it.
+
+scipy.optimize (the assignment solver and the LP) and scipy.sparse (the LP's
+constraint matrix) are imported the first time ``exact_ot`` needs them, not
+with the module: scipy.optimize takes about half a second to import, and
+importing the package should not cost that when no plan is solved.  Python's
+import lock makes a first call from several pool threads at once safe.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from ._rng import Purpose, child_seed
 from .errors import (
@@ -211,6 +215,25 @@ def _residual(plan, a, b) -> float:
     )
 
 
+# The two scipy.optimize kernels exact_ot calls, imported on first call (see
+# the module docstring).  They stay module attributes and exact_ot looks them
+# up here, so a caller can wrap or replace them.
+
+
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, imported on first use."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
+def linprog(c, **kwargs):
+    """scipy.optimize.linprog, imported on first use."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, **kwargs)
+
+
 def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPlan:
     """Optimal transport plan between two discrete measures.
 
@@ -248,6 +271,8 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
             solver="exact",
             marginal_residual=_residual(plan, mu.weights, nu.weights),
         )
+    from scipy import sparse
+
     a, b = mu.weights, nu.weights
     # equality constraints: all row sums, and all but one column sum (the
     # dropped one is implied since both weight vectors sum to 1); sparse, as

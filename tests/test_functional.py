@@ -432,6 +432,34 @@ def test_brenier_input_validation():
         functional.brenier_chain_check_1d(np.ones(33), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_non_finite_exponents_are_rejected(p):
+    # nan passes a bare p < 1 test and used to give four VIOLATION steps;
+    # inf gave nan slacks
+    with pytest.raises(FunctionalDomainError, match="finite"):
+        functional.brenier_chain_check_1d(np.ones(33), (0.0, 1.0), p=p)
+    with pytest.raises(FunctionalDomainError, match="finite"):
+        functional.tlsi_verify(SQUARE, corpora.trig_function(2, 3), p, 24)
+    with pytest.raises(FunctionalDomainError, match="finite"):
+        functional.tlsi_coefficients(p, 2, 1.0)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("points", [1, 2, 9, 2049, 8193])
+def test_cumulative_trapezoid_is_scipys_byte_for_byte(points, uniform):
+    from scipy.integrate import cumulative_trapezoid
+
+    g = np.random.default_rng(points)
+    x = np.linspace(-1.3, 2.7, points)
+    if not uniform:
+        x = np.sort(g.uniform(-1.3, 2.7, points))
+    y = np.exp(np.sin(5.0 * x)) + g.uniform(0.0, 1e-3, points)
+    ours = functional._cumulative_trapezoid(y, x)
+    ref = cumulative_trapezoid(y, x, initial=0.0)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape == (points,)
+    assert ours.tobytes() == ref.tobytes()
+
+
 def test_brenier_accepts_body_domain():
     chain = functional.brenier_chain_check_1d(np.ones(33), INTERVAL, p=2.0)
     assert chain.passed()
