@@ -54,11 +54,8 @@ class Purpose(enum.IntEnum):
     TCI_ENTROPY = 31
     TCI_W = 32
     # functional
-    FUNCTIONAL_MC = 40
-    DIRICHLET_MC = 45
     TRIG = 46
     # concentration
-    PROFILE = 50
     TAU = 51
     TAU_DIRS = 52
     AUDIT_MEAN_K = 53

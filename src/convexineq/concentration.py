@@ -91,9 +91,10 @@ class ConcentrationFit(Record):
     """Fitted tail profile of one functional on one sample cloud.
 
     Both the raw tails and their monotone (running-minimum) envelope are
-    stored; usable_points indexes thresholds with at least 30 exceedances,
+    stored at the thresholds ``t_grid`` chosen from the sample's spread and
+    range; usable_points indexes thresholds with at least 30 exceedances,
     and alpha_hat is the minimum fitted exponent over those.  Deterministic:
-    equal (body, functional, t_grid, m, seed) reproduce this bit for bit.
+    equal (body, functional, m, seed) reproduce this bit for bit.
     """
 
     functional: str
@@ -142,26 +143,16 @@ def _auto_t_grid(values: np.ndarray) -> np.ndarray:
     return grid[grid > 0]
 
 
-def _fit_tails(values: np.ndarray, t_grid, m: int, seed: int, description: str) -> ConcentrationFit:
+def _fit_tails(values: np.ndarray, m: int, seed: int, description: str) -> ConcentrationFit:
     centered = values - values.mean()
-    if t_grid is None:
-        grid = _auto_t_grid(centered)
-    else:
-        grid = np.asarray(t_grid, dtype=float)
-        grid = np.unique(grid[grid > 0])
-        if grid.size == 0:
-            raise SamplingError("t_grid has no positive thresholds")
-    absc = np.abs(centered)
-    counts = (absc[None, :] >= grid[:, None]).sum(axis=1)
+    grid = _auto_t_grid(centered)
+    counts = (np.abs(centered)[None, :] >= grid[:, None]).sum(axis=1)
     tails = counts / m
-    if counts.sum() == 0:
-        raise SamplingError("all tails empty: every threshold exceeds the observed range")
     envelope = np.minimum.accumulate(tails)
     usable = np.flatnonzero(counts >= _MIN_EXCEEDANCES)
     if usable.size == 0:
         raise SamplingError(
-            f"no threshold has at least {_MIN_EXCEEDANCES} exceedances; "
-            f"lower the grid or raise m"
+            f"no threshold has at least {_MIN_EXCEEDANCES} exceedances; raise m"
         )
     clamped = np.maximum(tails[usable], 1.0 / m)
     alphas = -np.log(clamped / 2.0) / grid[usable] ** 2
@@ -183,23 +174,6 @@ def _fit_tails(values: np.ndarray, t_grid, m: int, seed: int, description: str) 
         m=int(m),
         seed=int(seed),
     )
-
-
-def concentration_profile(
-    body: Domain, F, t_grid=None, m: int = 20_000, seed: int = 0
-) -> ConcentrationFit:
-    """Empirical two-sided tail profile of F on the body, recentered by the
-    empirical mean.  F must be 1-Lipschitz for alpha_hat to carry its
-    transport meaning; LipschitzFunctional instances guarantee that by
-    construction."""
-    if m < 10_000:
-        raise SamplingError(f"tail estimation needs at least 10^4 samples, got {m}")
-    cloud = sample_uniform(body, m, child_seed(seed, Purpose.PROFILE))
-    values = np.asarray(F(cloud.points), dtype=float)
-    if values.shape != (m,):
-        raise SamplingError("functional must map (m, n) points to m scalar values")
-    description = F.description if isinstance(F, LipschitzFunctional) else getattr(F, "__name__", "F")
-    return _fit_tails(values, t_grid, m, seed, description)
 
 
 @dataclass(frozen=True)
@@ -233,10 +207,7 @@ def tau1_proxy(
         g = rng_for(seed, Purpose.TAU_DIRS)
         for _ in range(extra_directions):
             probes.append(direction_functional(g.standard_normal(body.dim)))
-    fits = []
-    for F in probes:
-        values = F(cloud.points)
-        fits.append(_fit_tails(values, None, m, seed, F.description))
+    fits = [_fit_tails(F(cloud.points), m, seed, F.description) for F in probes]
     k = int(np.argmin([f.alpha_hat for f in fits]))
     best = fits[k]
     return TauProxyResult(estimate=best.estimate, fits=tuple(fits), argmin=best.functional)
@@ -330,7 +301,7 @@ def lemma1_audit(
         raise NotNormalizedError(
             f"B must be in isotropic position; covariance defect {defect:.4f} > 0.05"
         )
-    lo, hi = geometry.bounding_box(B)
+    lo, hi = B.bounding_box()
     if float(np.linalg.norm(mu_B)) > 0.02 * float(np.linalg.norm(hi - lo)):
         raise NotNormalizedError(
             f"B must be centered; estimated barycenter norm {float(np.linalg.norm(mu_B)):.3e}"

@@ -8,6 +8,11 @@ Quotient conventions (mu is the uniform probability law on the body):
 * LSI quotient       2 integral |grad f|^2 dmu / Ent_mu(f^2), an upper bound
   for the log-Sobolev constant.
 
+Both quotients, like the Dirichlet-comparison constants, are means under
+the body's interior quadrature, so they carry no sampling error (stderr 0,
+no seed); a body without interior quadrature raises
+QuadratureUnsupportedError.
+
 The trace log-Sobolev verifier checks, for p >= 1 with conjugate q,
 
     Ent_O(|f|^p) <= ((p-1)/(n+q))^(p-1) / (w_n^(p/n) |O|^(1-p/n)) * I_grad
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from ._rng import Purpose, child_seed, rng_for
+from ._rng import Purpose, rng_for
 from .errors import (
     DimensionMismatchError,
     FunctionalDomainError,
@@ -59,7 +64,6 @@ from .errors import (
 from .estimate import Estimate
 from .geometry import Domain, interval_bounds, unit_ball_volume
 from .reporting import Record, canonical_hash, jsonable
-from .sampling import sample_uniform
 
 # -- test functions ----------------------------------------------------------
 
@@ -281,7 +285,7 @@ def shift_positive(values: np.ndarray, margin: float = 0.1) -> np.ndarray:
     return v - v.min() + margin * (spread if spread > 0 else 1.0)
 
 
-# -- evaluation backends ------------------------------------------------------
+# -- spectral quotients -------------------------------------------------------
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -291,89 +295,58 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_mode(body: Domain, m_or_grid) -> tuple[str, int]:
-    """Interpret the m_or_grid argument.
-
-    A plain integer means grid resolution when the body supports
-    deterministic interior quadrature and a Monte Carlo sample count
-    otherwise; ("grid", r) and ("mc", m) force a mode explicitly.
-    """
-    if isinstance(m_or_grid, tuple):
-        mode, value = m_or_grid
-        if mode not in ("grid", "mc"):
-            raise FunctionalDomainError(f"unknown evaluation mode {mode!r}")
-        return mode, int(value)
-    value = int(m_or_grid)
-    try:
-        geometry.interior_quadrature(body, 2)
-        return "grid", value
-    except QuadratureUnsupportedError:
-        return "mc", value
+def _resolution(resolution) -> int:
+    """The grid resolution r of ``r`` or ``("grid", r)``."""
+    if isinstance(resolution, tuple):
+        mode, value = resolution
+        if mode != "grid":
+            raise FunctionalDomainError(f"unknown evaluation mode {mode!r}; only 'grid' is supported")
+        return int(value)
+    return int(resolution)
 
 
-@dataclass(frozen=True)
-class _EvalContext:
-    mode: str
-    nodes: np.ndarray
-    probs: np.ndarray
-    count: int
-
-
-def _context(f: TestFunction, body: Domain, m_or_grid, seed: int) -> _EvalContext:
+def _grid(f: TestFunction, body: Domain, resolution) -> tuple[np.ndarray, np.ndarray, int]:
+    """Interior quadrature nodes, their probability weights and the node
+    count for the quotients."""
     if f.dim != body.dim:
         raise DimensionMismatchError(
             f"function of dimension {f.dim} against body of dimension {body.dim}"
         )
-    mode, value = _resolve_mode(body, m_or_grid)
-    if mode == "grid":
-        nodes, w = geometry.interior_quadrature(body, value)
-        return _EvalContext("grid", nodes, w / w.sum(), nodes.shape[0])
-    cloud = sample_uniform(body, value, child_seed(seed, Purpose.FUNCTIONAL_MC))
-    return _EvalContext("mc", cloud.points, cloud.weights, value)
+    nodes, w = geometry.interior_quadrature(body, _resolution(resolution))
+    return nodes, w / w.sum(), nodes.shape[0]
 
 
-def _mean(ctx: _EvalContext, samples: np.ndarray) -> tuple[float, float]:
-    """Weighted mean and its stderr (0 in grid mode)."""
-    mean = float(ctx.probs @ samples)
-    if ctx.mode == "grid":
-        return mean, 0.0
-    return mean, Estimate.of_samples(samples).stderr
-
-
-def rayleigh_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
-    """E|grad f|^2 / Var(f), an upper bound for the spectral gap of the body."""
-    ctx = _context(f, body, m_or_grid, seed)
-    v, grad = f.value_and_gradient(ctx.nodes)
+def rayleigh_quotient(f: TestFunction, body: Domain, resolution=64) -> Estimate:
+    """E|grad f|^2 / Var(f), an upper bound for the spectral gap of the body,
+    by interior quadrature at ``resolution`` (``r`` or ``("grid", r)``)."""
+    nodes, probs, count = _grid(f, body, resolution)
+    v, grad = f.value_and_gradient(nodes)
     g2 = (grad**2).sum(axis=1)
-    num, se_num = _mean(ctx, g2)
-    ev = float(ctx.probs @ v)
-    den, se_den = _mean(ctx, (v - ev) ** 2)
-    scale = float(ctx.probs @ v**2) + 1e-300
+    num = float(probs @ g2)
+    ev = float(probs @ v)
+    den = float(probs @ (v - ev) ** 2)
+    scale = float(probs @ v**2) + 1e-300
     if den <= 1e-12 * scale:
         raise FunctionalDomainError("Rayleigh quotient undefined: Var(f) vanishes")
-    value = num / den
-    rel = math.hypot(se_num / num if num else 0.0, se_den / den)
-    return Estimate(value=value, stderr=value * rel, count=ctx.count, seed=seed)
+    return Estimate(value=num / den, stderr=0.0, count=count)
 
 
-def lsi_quotient(f: TestFunction, body: Domain, m_or_grid=64, seed: int = 0) -> Estimate:
-    """2 E|grad f|^2 / Ent(f^2), an upper bound for the log-Sobolev constant."""
-    ctx = _context(f, body, m_or_grid, seed)
-    v, grad = f.value_and_gradient(ctx.nodes)
+def lsi_quotient(f: TestFunction, body: Domain, resolution=64) -> Estimate:
+    """2 E|grad f|^2 / Ent(f^2), an upper bound for the log-Sobolev constant,
+    by interior quadrature at ``resolution`` (``r`` or ``("grid", r)``)."""
+    nodes, probs, count = _grid(f, body, resolution)
+    v, grad = f.value_and_gradient(nodes)
     v = v**2
     g2 = (grad**2).sum(axis=1)
-    num, se_num = _mean(ctx, 2.0 * g2)
-    ev = float(ctx.probs @ v)
+    num = float(probs @ (2.0 * g2))
+    ev = float(probs @ v)
     if ev <= 1e-300:
         raise FunctionalDomainError("LSI quotient undefined: E[f^2] = 0")
     h = _xlogx(v) - (math.log(ev) + 1.0) * v
-    mean_h, se_den = _mean(ctx, h)
-    den = mean_h + ev
+    den = float(probs @ h) + ev
     if den <= 1e-12 * (ev + 1.0):
         raise FunctionalDomainError("LSI quotient undefined: Ent(f^2) vanishes")
-    value = num / den
-    rel = math.hypot(se_num / num if num else 0.0, se_den / den)
-    return Estimate(value=value, stderr=value * rel, count=ctx.count, seed=seed)
+    return Estimate(value=num / den, stderr=0.0, count=count)
 
 
 # -- trace log-Sobolev verification -------------------------------------------
@@ -540,7 +513,8 @@ class DirichletConstants(Record):
 
     prop_constant = |O|^(2/n) / ((n+2) w_n^(2/n)) and classical_bound =
     (1/(n|O|)) integral |x|^2; prop_constant <= classical_bound always, with
-    ratio = 1 exactly when the domain is a centered Euclidean ball.
+    ratio = 1 exactly when the domain is a centered Euclidean ball.  Both
+    come from quadrature, so stderr is always 0.
     """
 
     prop_constant: float
@@ -550,46 +524,29 @@ class DirichletConstants(Record):
     count: int
 
 
-def dirichlet_lsi_constants(domain: Domain, m_or_grid=64, seed: int = 0) -> DirichletConstants:
-    """Shape term, second-moment term, and their ratio for a centered domain."""
-    mode, value = _resolve_mode(domain, m_or_grid)
+def dirichlet_lsi_constants(domain: Domain, resolution=64) -> DirichletConstants:
+    """Shape term, second-moment term, and their ratio for a centered domain,
+    by interior quadrature at ``resolution`` (``r`` or ``("grid", r)``)."""
     n = domain.dim
     lo, hi = domain.bounding_box()
     diam = float(np.linalg.norm(hi - lo))
-    if mode == "grid":
-        nodes, w = geometry.interior_quadrature(domain, value)
-        vol = float(w.sum())
-        probs = w / vol
-        centroid = probs @ nodes
-        if float(np.linalg.norm(centroid)) > 1e-6 * diam:
-            raise FunctionalDomainError(
-                f"domain must be centered at its centroid; quadrature centroid "
-                f"norm {float(np.linalg.norm(centroid)):.3e}"
-            )
-        sq = (nodes**2).sum(axis=1)
-        classical = float(probs @ sq) / n
-        se = 0.0
-        count = nodes.shape[0]
-    else:
-        cloud = sample_uniform(domain, value, child_seed(seed, Purpose.DIRICHLET_MC))
-        vol = geometry.volume_with_error(domain, mc_samples=max(value, 100_000), seed=seed).value
-        centroid = cloud.weights @ cloud.points
-        spread = float(np.linalg.norm(cloud.points.std(axis=0, ddof=1)))
-        if float(np.linalg.norm(centroid)) > max(4.0 * spread / math.sqrt(value), 0.01 * diam):
-            raise FunctionalDomainError("domain must be centered at its centroid")
-        sq = Estimate.of_samples((cloud.points**2).sum(axis=1))
-        classical = sq.value / n
-        se = sq.stderr / n
-        count = value
+    nodes, w = geometry.interior_quadrature(domain, _resolution(resolution))
+    vol = float(w.sum())
+    probs = w / vol
+    centroid = probs @ nodes
+    if float(np.linalg.norm(centroid)) > 1e-6 * diam:
+        raise FunctionalDomainError(
+            f"domain must be centered at its centroid; quadrature centroid "
+            f"norm {float(np.linalg.norm(centroid)):.3e}"
+        )
+    classical = float(probs @ (nodes**2).sum(axis=1)) / n
     prop = vol ** (2.0 / n) / ((n + 2) * unit_ball_volume(n) ** (2.0 / n))
-    ratio = prop / classical
-    rel = se / classical if classical else 0.0
     return DirichletConstants(
         prop_constant=float(prop),
         classical_bound=float(classical),
-        ratio=float(ratio),
-        stderr=float(ratio * rel),
-        count=count,
+        ratio=float(prop / classical),
+        stderr=0.0,
+        count=nodes.shape[0],
     )
 
 

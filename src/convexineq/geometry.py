@@ -10,9 +10,9 @@ Conventions used throughout:
 
 * Bodies are full-dimensional with nonempty interior; degenerate parameters
   are rejected at construction.
-* ``volume`` is exact for ball, cube, cross-polytope, rectangle unions, and
-  affine images of those; H-polytopes fall back to rejection sampling from
-  the bounding box and report a standard error.
+* ``volume_with_error`` is exact for ball, cube, cross-polytope, rectangle
+  unions, and affine images of those; H-polytopes fall back to rejection
+  sampling from the bounding box and report a standard error.
 * ``interior_quadrature`` returns nodes and weights whose sum equals the
   exact volume: weights are exact cell measures, nodes are cell centers, so
   integrals of smooth functions converge at second order in the mesh size.
@@ -847,7 +847,7 @@ class AffineImage(ConvexBody):
 
     def _support_norm(self):
         # only a pure scaling t I (t > 0, no shift) keeps the base's norm, so
-        # volume-one normalizations stay on the closed-form path
+        # rescalings about the origin stay on the closed-form path
         L, s = self.map.linear, self.map.shift
         t = L[0, 0]
         if (
@@ -1181,11 +1181,6 @@ def _polygon_boundary(vertices, resolution):
 # -- public module-level operations ----------------------------------------
 
 
-def contains(body: Domain, point) -> bool:
-    """Exact membership test for a single point."""
-    return bool(body.contains_many(np.asarray(point, dtype=float))[0])
-
-
 def volume_with_error(
     body: Domain, *, mc_samples: int = 200_000, seed: int = 0, method: str = "auto"
 ) -> Estimate:
@@ -1221,10 +1216,6 @@ def volume_with_error(
     return Estimate(value=value, stderr=stderr, count=mc_samples, seed=seed)
 
 
-def volume(body: Domain, *, mc_samples: int = 200_000, seed: int = 0) -> float:
-    return volume_with_error(body, mc_samples=mc_samples, seed=seed).value
-
-
 def support(body: Domain, u) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (body.dim,):
@@ -1234,29 +1225,9 @@ def support(body: Domain, u) -> float:
     return body.support(u)
 
 
-def bounding_box(body: Domain) -> tuple[np.ndarray, np.ndarray]:
-    return body.bounding_box()
-
-
 def apply_affine(body: ConvexBody, linear, shift=None) -> AffineImage:
     """Apply an invertible affine map, flattening nested images."""
     return AffineImage(body, linear, shift)
-
-
-def normalize_to_volume_one(
-    body: ConvexBody, *, mc_samples: int = 200_000, seed: int = 0
-) -> AffineImage:
-    """Rescale the body about the origin to unit volume.
-
-    Always returns an affine image with a pure scaling map; the volume of the
-    result is exactly one for closed-form variants and within the volume
-    estimate's standard error for Monte Carlo ones.
-    """
-    v = body.volume_closed_form()
-    if v is None:
-        v = volume(body, mc_samples=mc_samples, seed=seed)
-    t = v ** (-1.0 / body.dim)
-    return AffineImage(body, t * np.eye(body.dim))
 
 
 def interior_quadrature(domain: Domain, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1295,15 +1266,6 @@ def boundary_quadrature(body: Domain, resolution: int) -> BoundaryMesh:
             body_fingerprint=fingerprint(body),
         )
     return mesh
-
-
-def surface_area(body: Domain) -> float | None:
-    """Closed-form surface measure when available."""
-    return body.surface_area_closed_form()
-
-
-def body_to_json(body: Domain) -> dict:
-    return body.to_json()
 
 
 def body_from_json(obj: dict) -> Domain:

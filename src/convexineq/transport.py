@@ -62,7 +62,7 @@ from .estimate import Estimate
 from .geometry import Domain
 from .isotropy import relative_entropy_uniform
 from .reporting import Record, jsonable
-from .sampling import PointCloud, estimate_mean_norm_p, sample_uniform
+from .sampling import PointCloud, sample_uniform
 
 _EXACT_CAP = 4096
 # sinkhorn folds its scalings into the log potentials outside [1/max, max]
@@ -528,15 +528,6 @@ def wasserstein_1d(samplesA, samplesB, p: int = 1) -> float:
         raise SolverError(f"cost exponent must be 1 or 2, got {p}")
     gaps = np.abs(xa - xb) ** p
     return float(gaps.mean() ** (1.0 / p))
-
-
-def w1_to_point_mass(body: Domain, m: int = 10_000, seed: int = 0) -> Estimate:
-    """W_1 from the uniform law on the body to the point mass at the origin.
-
-    The only coupling sends every point to the origin, so this is the mean
-    Euclidean norm.
-    """
-    return estimate_mean_norm_p(body, 1, m, seed)
 
 
 def tci_tau_records(

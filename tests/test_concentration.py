@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from convexineq import (
-    Ball,
     Cube,
     NotNormalizedError,
     SamplingError,
@@ -30,74 +27,58 @@ def test_norm_functional():
     assert F(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
 
 
+# a uniform grid over [-1/2, 1/2]: the share of points with |x| >= t is
+# max(1 - 2t, 0) up to one grid step, so its tails and fitted exponent have
+# closed forms
+M = 100_001
+UNIFORM = np.linspace(-0.5, 0.5, M)
+
+
+def _fit(values):
+    return concentration._fit_tails(values, values.shape[0], 0, "x[0]")
+
+
 def test_profile_tail_oracle():
-    """P(|x_1| >= 1/4) on the unit square is exactly 1/2."""
-    m = 20_000
-    fit = concentration.concentration_profile(
-        Cube(1.0, 2), concentration.coordinate_functional(0), t_grid=[0.25], m=m, seed=1
-    )
-    se = math.sqrt(0.25 / m)
-    assert abs(fit.tails[0] - 0.5) <= 3.0 * se
+    fit = _fit(UNIFORM)
+    # the automatic grid reaches past the range (3 sigma > 1/2), where tails are 0
+    assert fit.t_grid.max() > 0.5
+    assert np.allclose(fit.tails, np.maximum(1.0 - 2.0 * fit.t_grid, 0.0), rtol=0.0, atol=2.0 / M)
 
 
 def test_profile_envelope_monotone():
-    fit = concentration.concentration_profile(
-        Cube(1.0, 2), concentration.norm_functional(), m=20_000, seed=2
-    )
+    fit = _fit(np.linalg.norm(np.random.default_rng(2).standard_normal((20_000, 2)), axis=1))
     assert np.all(np.diff(fit.envelope) <= 0.0)
     assert np.all(fit.envelope <= fit.tails)
 
 
 def test_profile_bit_identical_across_calls():
-    kwargs = dict(t_grid=None, m=20_000, seed=7)
-    a = concentration.concentration_profile(Cube(1.0, 2), concentration.coordinate_functional(0), **kwargs)
-    b = concentration.concentration_profile(Cube(1.0, 2), concentration.coordinate_functional(0), **kwargs)
-    assert np.array_equal(a.tails, b.tails)
-    assert np.array_equal(a.t_grid, b.t_grid)
-    assert a.alpha_hat == b.alpha_hat
+    a, b = (concentration.tau1_proxy(Cube(1.0, 2), m=20_000, seed=7).to_json() for _ in range(2))
+    assert a == b
 
 
 def test_profile_rejects_small_samples():
     with pytest.raises(SamplingError, match="10\\^4"):
-        concentration.concentration_profile(
-            Cube(1.0, 2), concentration.coordinate_functional(0), m=999, seed=0
-        )
+        concentration.tau1_proxy(Cube(1.0, 2), m=999, seed=0)
 
 
 def test_profile_rejects_constant_functional():
-    class Flat:
-        description = "flat"
-
-        def __call__(self, pts):
-            return np.zeros(pts.shape[0])
-
     with pytest.raises(SamplingError, match="constant"):
-        concentration.concentration_profile(Cube(1.0, 2), Flat(), m=10_000, seed=0)
-
-
-def test_profile_rejects_out_of_range_grid():
-    with pytest.raises(SamplingError, match="empty"):
-        concentration.concentration_profile(
-            Cube(1.0, 2), concentration.coordinate_functional(0), t_grid=[50.0], m=10_000, seed=0
-        )
+        _fit(np.full(10_000, 0.25))
 
 
 def test_profile_needs_enough_exceedances():
-    # threshold just inside the edge, populated by far fewer than 30 points
+    # 29 values: no threshold can have 30 exceedances
     with pytest.raises(SamplingError, match="exceedances"):
-        concentration.concentration_profile(
-            Cube(1.0, 2), concentration.coordinate_functional(0), t_grid=[0.49999], m=10_000, seed=0
-        )
+        _fit(np.linspace(-0.5, 0.5, 29))
 
 
 def test_alpha_hat_for_uniform_interval():
-    # on U(-1/2, 1/2) the two-sided tail at t is exactly 1 - 2t, so the
-    # fitted exponent at a single threshold has a closed form
-    fit = concentration.concentration_profile(
-        geometry.interval(-0.5, 0.5), concentration.coordinate_functional(0), t_grid=[0.4], m=200_000, seed=3
-    )
-    expected = -math.log(0.2 / 2.0) / 0.4**2
-    assert fit.alpha_hat == pytest.approx(expected, rel=0.05)
+    # the fitted exponent is the minimum of -log((1 - 2t) / 2) / t^2 over the
+    # usable thresholds
+    fit = _fit(UNIFORM)
+    t = fit.t_grid[fit.usable_points]
+    expected = np.min(-np.log((1.0 - 2.0 * t) / 2.0) / t**2)
+    assert fit.alpha_hat == pytest.approx(expected, rel=1e-3)
 
 
 def test_tau1_proxy_probe_family():

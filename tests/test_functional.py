@@ -198,18 +198,38 @@ def test_min_lsi_below_min_rayleigh():
     lsis, rays = [], []
     for i in range(5):
         g = functional.random_trig(2, 200 + i)
-        rays.append(functional.rayleigh_quotient(g, SQUARE, ("mc", 20_000), seed=i))
+        rays.append(functional.rayleigh_quotient(g, SQUARE, ("grid", 128)).value)
         f = functional.trigonometric(
             1.0 + 0.01 * g.params["const"],
             [(0.01 * a, 0.01 * b, k) for (a, b, k) in g.params["terms"]],
             2,
         )
-        lsis.append(functional.lsi_quotient(f, SQUARE, ("mc", 20_000), seed=i))
-    rel = max(
-        max(e.stderr / e.value for e in lsis),
-        max(e.stderr / e.value for e in rays),
-    )
-    assert min(e.value for e in lsis) <= min(e.value for e in rays) * (1.0 + 4.0 * rel)
+        lsis.append(functional.lsi_quotient(f, SQUARE, ("grid", 128)).value)
+    assert min(lsis) <= min(rays)
+
+
+@pytest.mark.parametrize("quotient", [functional.rayleigh_quotient, functional.lsi_quotient])
+def test_quotients_are_deterministic(quotient):
+    # grid quadrature draws nothing: no sampling error and no seed
+    est = quotient(functional.random_trig(2, 1), SQUARE, ("grid", 32))
+    assert (est.stderr, est.seed, est.count) == (0.0, None, 32 * 32)
+    assert quotient(functional.random_trig(2, 1), SQUARE, 32) == est
+
+
+GRID_ONLY = {
+    "rayleigh": lambda b, r: functional.rayleigh_quotient(functional.random_trig(b.dim, 1), b, r),
+    "lsi": lambda b, r: functional.lsi_quotient(functional.random_trig(b.dim, 1), b, r),
+    "dirichlet": functional.dirichlet_lsi_constants,
+}
+
+
+@pytest.mark.parametrize("call", GRID_ONLY.values(), ids=GRID_ONLY.keys())
+def test_grid_only_functionals_refuse_to_sample(call):
+    # no silent switch to sampling where the body has no interior quadrature
+    with pytest.raises(QuadratureUnsupportedError):
+        call(Ball(1.0, 4), 2000)
+    with pytest.raises(FunctionalDomainError, match="mode"):
+        call(Ball(1.0, 2), ("mc", 1000))
 
 
 # -- trace log-Sobolev reports --------------------------------------------------
@@ -358,11 +378,12 @@ def test_dirichlet_flat_rectangle_is_far_from_sharp():
     assert c.ratio < 0.2
 
 
-def test_dirichlet_mc_mode_matches_closed_form():
+def test_dirichlet_cube3_matches_closed_form():
     # cube in dimension 3: ratio = 12 / (5 omega_3^(2/3))
     target = 12.0 / (5.0 * geometry.unit_ball_volume(3) ** (2.0 / 3.0))
-    c = functional.dirichlet_lsi_constants(Cube(1.0, 3), ("mc", 50_000), seed=2)
-    assert abs(c.ratio - target) <= 4.0 * c.stderr
+    c = functional.dirichlet_lsi_constants(Cube(1.0, 3), ("grid", 64))
+    assert c.ratio == pytest.approx(target, rel=1e-3)
+    assert (c.stderr, c.count) == (0.0, 64**3)
 
 
 def test_dirichlet_rejects_off_center_domain():

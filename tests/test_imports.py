@@ -1,4 +1,4 @@
-"""Which scipy subpackages load, and when.
+"""What ``import convexineq`` exports, and which scipy subpackages load, and when.
 
 ``import convexineq`` loads none of scipy.optimize, scipy.sparse and
 scipy.integrate; the paths that need them import them on first use.  Each
@@ -9,6 +9,7 @@ them.
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,12 @@ def _fresh(body: str):
 
 
 _LOADED = f"[m for m in {DEFERRED!r} if m in sys.modules]"
+
+
+def test_export_list_matches_the_package_names():
+    # sorted, a duplicate or an unbound name in __all__ breaks the equality
+    public = [k for k, v in vars(convexineq).items() if k[0] != "_" and not isinstance(v, types.ModuleType)]
+    assert sorted(convexineq.__all__) == sorted(public)
 
 
 def test_import_loads_no_deferred_scipy_subpackage():

@@ -73,10 +73,10 @@ def test_inscribe_scale_closed_forms(monkeypatch):
     assert isotropy.inscribe_scale(Ball(math.sqrt(2.0), 2), Cube(2.0, 2)) == pytest.approx(1.0)
     # cross-polytope vertices at radius 1 fit a unit ball
     assert isotropy.inscribe_scale(Ball(1.0, 3), geometry.L1Ball(1.0, 3)) == pytest.approx(1.0)
-    # volume-one images are pure scalings: the disk of radius pi^(-1/2)
-    # fits the unit square at scale sqrt(pi) / 2
-    B = geometry.normalize_to_volume_one(Cube(3.0, 2))
-    K = geometry.normalize_to_volume_one(Ball(1.0, 2))
+    # pure-scaling images keep their base's closed form: the disk of radius
+    # pi^(-1/2) fits the unit square at scale sqrt(pi) / 2
+    B = geometry.apply_affine(Cube(3.0, 2), np.eye(2) / 3.0)
+    K = geometry.apply_affine(Ball(1.0, 2), np.eye(2) / math.sqrt(math.pi))
     assert isotropy.inscribe_scale(B, K) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 

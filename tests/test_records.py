@@ -45,9 +45,6 @@ ONE_SAMPLE = {
     "estimate_mean_norm_p": lambda: sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 1, seed=0),
     "mean_sq_norm": lambda: concentration._mean_sq_norm(Ball(1.0, 2), 1, 0),
     "wasserstein_empirical": lambda: transport.wasserstein_empirical(Ball(1.0, 2), Ball(1.0, 2), m=8, reps=1),
-    "mc_functional": lambda: functional.rayleigh_quotient(
-        functional.random_trig(2, 1), Ball(1.0, 2), ("mc", 1)
-    ),
 }
 
 

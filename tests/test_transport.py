@@ -351,11 +351,6 @@ def test_wasserstein_empirical_raises_a_repetitions_error_and_leaves_no_thread(m
     assert threading.active_count() == before
 
 
-def test_w1_to_point_mass_disk():
-    est = transport.w1_to_point_mass(Ball(1.0, 2), m=200_000, seed=9)
-    assert abs(est.value - 2.0 / 3.0) <= 4.0 * est.stderr
-
-
 def test_tci_records_skip_zero_entropy():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
