@@ -120,11 +120,9 @@ def test_hit_and_run_matches_direct_moments():
 
 
 def test_mean_norm_disk():
-    # E|x| over the unit disk is 2/3, which is also W1 from the disk's
-    # uniform law to the point mass at its centre
-    for seed in (7, 9):
-        est = sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 200_000, seed=seed)
-        assert abs(est.value - 2.0 / 3.0) <= 4.0 * est.stderr
+    # E|x| over the unit disk is 2/3
+    est = sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 200_000, seed=7)
+    assert abs(est.value - 2.0 / 3.0) <= 4.0 * est.stderr
 
 
 def test_mean_norm_interval():

@@ -21,7 +21,7 @@ from convexineq import (
 )
 from convexineq._rng import Purpose, child_seed
 from convexineq.estimate import Estimate
-from convexineq.sampling import sample_uniform
+from convexineq.sampling import estimate_mean_norm_p, sample_uniform
 
 
 def _uniform(rng, k, d=2):
@@ -349,6 +349,13 @@ def test_wasserstein_empirical_raises_a_repetitions_error_and_leaves_no_thread(m
     with pytest.raises(SamplingError, match="repetition 3 failed"):
         transport.wasserstein_empirical(Ball(1.0, 2), Cube(1.0, 2), p=1, m=64, seed=5, reps=10)
     assert threading.active_count() == before
+
+
+def test_w1_to_point_mass_disk():
+    # the only coupling to the point mass at the origin sends every point
+    # there, so W1 from the unit disk is its mean norm, 2/3
+    est = estimate_mean_norm_p(Ball(1.0, 2), 1, 200_000, seed=9)
+    assert abs(est.value - 2.0 / 3.0) <= 4.0 * est.stderr
 
 
 def test_tci_records_skip_zero_entropy():
