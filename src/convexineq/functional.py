@@ -412,21 +412,50 @@ def tlsi_coefficients(p: float, n: int, volume: float) -> tuple[float, float, fl
     return q, grad_coeff, bdry_coeff
 
 
-def _tlsi_terms(domain: Domain, f: TestFunction, p: float, resolution: int):
-    nodes, w = geometry.interior_quadrature(domain, resolution)
-    mesh = geometry.boundary_quadrature(domain, resolution)
+def _tlsi_nodes(domain: Domain, f: TestFunction, resolutions: tuple[int, ...]) -> tuple:
+    """The p-independent node table of f on the domain: for each resolution,
+    (interior weights, |f| and |grad f| at the interior nodes, boundary
+    weights, |f| at the boundary nodes), all read-only.
+
+    f and its gradient come from one ``value_and_gradient`` call on the
+    stacked nodes of every mesh.  The domain keeps the last table it built,
+    for the function object itself (compared with ``is``, not by
+    fingerprint) and these resolutions, so checks of one f at several
+    exponents evaluate it once.
+    """
+    memo = domain._node_table
+    if memo and memo[0][0] is f and memo[0][1] == resolutions:
+        return memo[0][2]
+    interior = [geometry.interior_quadrature(domain, r) for r in resolutions]
+    boundary = [geometry.boundary_quadrature(domain, r) for r in resolutions]
+    parts = [nodes for nodes, _ in interior] + [mesh.nodes for mesh in boundary]
+    values, grads = f.value_and_gradient(np.concatenate(parts))
+    f_abs = geometry._read_only(np.abs(values))
+    grad_abs = geometry._read_only(np.linalg.norm(grads, axis=1))
+    cuts = np.cumsum([part.shape[0] for part in parts])[:-1]
+    f_parts = np.split(f_abs, cuts)
+    grad_parts = np.split(grad_abs, cuts)
+    k = len(resolutions)
+    table = tuple(
+        (w, f_parts[i], grad_parts[i], mesh.weights, f_parts[k + i])
+        for i, ((_, w), mesh) in enumerate(zip(interior, boundary))
+    )
+    memo[:] = [(f, resolutions, table)]
+    return table
+
+
+def _tlsi_terms(p: float, dim: int, nodes: tuple) -> dict:
+    w, f_abs, grad_abs, bdry_w, bdry_abs = nodes
     vol = float(w.sum())
-    q, grad_coeff, bdry_coeff = tlsi_coefficients(p, domain.dim, vol)
-    values, grads = f.value_and_gradient(nodes)
-    fp = np.abs(values) ** p
+    q, grad_coeff, bdry_coeff = tlsi_coefficients(p, dim, vol)
+    fp = f_abs**p
     probs = w / vol
     mean_fp = float(probs @ fp)
     if mean_fp <= 1e-300:
         raise FunctionalDomainError("entropy side undefined: |f|^p integrates to 0")
     lhs = float(probs @ _xlogx(fp)) - mean_fp * math.log(mean_fp)
-    gn = np.linalg.norm(grads, axis=1)
-    grad_int = float(w @ gn**p)
-    bdry_int = float(mesh.weights @ np.abs(f.value(mesh.nodes)) ** p)
+    grad_int = float(w @ grad_abs**p)
+    bdry_int = float(bdry_w @ bdry_abs**p)
     return {
         "q": q,
         "vol": vol,
@@ -435,8 +464,8 @@ def _tlsi_terms(domain: Domain, f: TestFunction, p: float, resolution: int):
         "grad_term": grad_coeff * grad_int,
         "bdry_coeff": bdry_coeff,
         "bdry_term": bdry_coeff * bdry_int,
-        "interior_nodes": nodes.shape[0],
-        "boundary_nodes": mesh.nodes.shape[0],
+        "interior_nodes": w.shape[0],
+        "boundary_nodes": bdry_w.shape[0],
     }
 
 
@@ -447,13 +476,16 @@ def tlsi_verify(
 
     Evaluates entropy, gradient, and boundary terms at the requested
     resolution and reports slack with a PASS/VIOLATION verdict.  Negative
-    slack beyond tolerance is flagged, never silently accepted.  At each
-    resolution, f and its gradient come from one ``value_and_gradient`` pass
-    over the interior nodes (for a trigonometric f, one terms x nodes table
-    of phases, cosines and sines), and the meshes are the domain's cached
-    ones, so repeated checks on one domain object build each mesh once.
-    f's coefficient arrays and fingerprint are computed once per function
-    object; no value at any node is kept from one check to the next.
+    slack beyond tolerance is flagged, never silently accepted.  p enters
+    only through |f|^p and |grad f|^p, so the check runs in two steps.  The
+    first evaluates f and its gradient once on the stacked nodes of every
+    mesh it needs (for a trigonometric f, one terms x nodes table of phases,
+    cosines and sines) and keeps |f| and |grad f| there in a one-entry memo
+    on the domain object, keyed by the function object itself and the
+    resolutions; checking the same f at another exponent reuses it, and any
+    other function or resolution replaces it.  The second step raises to the
+    power p and forms the terms, coefficients, tolerance and verdict on
+    every call.  The meshes are the domain's cached ones.
 
     The tolerance is calibrated once per instance at a fixed coarse anchor:
     the term drift between resolutions 16 and 8 (plus a small relative
@@ -471,9 +503,11 @@ def tlsi_verify(
         raise DimensionMismatchError(
             f"function of dimension {f.dim} against domain of dimension {domain.dim}"
         )
-    fine = _tlsi_terms(domain, f, p, grid_resolution)
-    anchor_hi = fine if grid_resolution == 16 else _tlsi_terms(domain, f, p, 16)
-    anchor_lo = _tlsi_terms(domain, f, p, 8)
+    _check_exponent(p)
+    r = int(grid_resolution)
+    resolutions = (16, 8) if r == 16 else (r, 16, 8)
+    terms = [_tlsi_terms(p, domain.dim, nodes) for nodes in _tlsi_nodes(domain, f, resolutions)]
+    fine, anchor_hi, anchor_lo = terms[0], terms[-2], terms[-1]
     drift = (
         abs(anchor_hi["lhs"] - anchor_lo["lhs"])
         + abs(anchor_hi["grad_term"] - anchor_lo["grad_term"])

@@ -349,7 +349,100 @@ def test_tlsi_matches_per_term_reference(name, p):
     dom = corpora.domain_set()[name]
     f = corpora.trig_function(dom.dim, 7)
     ref = _PerTermFunction(f.kind, f.dim, f.params, f.label)
-    assert functional.tlsi_verify(dom, f, p, 24) == functional.tlsi_verify(dom, ref, p, 24)
+    # the reference runs on its own domain object, so no node table of f
+    # can stand in for its evaluation
+    ref_dom = corpora.domain_set()[name]
+    assert functional.tlsi_verify(dom, f, p, 24) == functional.tlsi_verify(ref_dom, ref, p, 24)
+
+
+def test_tlsi_memo_is_keyed_by_function_object():
+    """A distinct function with equal fields and fingerprint is evaluated on
+    its own, once for all its exponents."""
+    evaluated = []
+
+    class Twin(functional.TestFunction):
+        def value_and_gradient(self, x):
+            evaluated.append(len(x))
+            return super().value_and_gradient(x)
+
+    dom = corpora.domain_set()["square"]
+    f = corpora.trig_function(2, 7)
+    twin = Twin(f.kind, f.dim, f.params, f.label)
+    assert twin.fingerprint() == f.fingerprint()
+    rep = functional.tlsi_verify(dom, f, 2.0, 24)
+    assert functional.tlsi_verify(dom, twin, 2.0, 24) == rep
+    assert len(evaluated) == 1
+    functional.tlsi_verify(dom, twin, 1.0, 24)
+    functional.tlsi_verify(dom, twin, 3.0, 24)
+    assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("order", ["other_p", "other_resolution", "interleaved_g"])
+@pytest.mark.parametrize("name", ["interval", "square", "disk", "lshape"])
+def test_tlsi_memo_reports_equal_fresh_domain(name, order):
+    """A check on a domain that has seen other checks reports exactly what a
+    fresh domain object reports: after f at another exponent, after f at
+    another resolution (16 uses the (16, 8) set; 24 -> 48 -> 24 is the
+    halving pattern) and after another function g."""
+    dom = corpora.domain_set()[name]
+    f = corpora.trig_function(dom.dim, 11)
+    g = corpora.trig_function(dom.dim, 12)
+    other_p = {1.0: 2.0, 1.5: 1.0, 2.0: 3.0, 3.0: 1.5}
+    other_r = {16: 24, 24: 48, 48: 16}
+    for r in (16, 24, 48):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            expected = functional.tlsi_verify(corpora.domain_set()[name], f, p, r)
+            if order == "other_p":
+                functional.tlsi_verify(dom, f, other_p[p], r)
+            elif order == "other_resolution":
+                functional.tlsi_verify(dom, f, p, r)
+                functional.tlsi_verify(dom, f, p, other_r[r])
+            else:
+                functional.tlsi_verify(dom, f, p, r)
+                functional.tlsi_verify(dom, g, p, r)
+            assert functional.tlsi_verify(dom, f, p, r) == expected
+
+
+def test_tlsi_zero_function_fails_on_every_exponent():
+    zero = functional.polynomial([], 1)
+    dom = geometry.interval(0.0, 1.0)
+    for p in (2.0, 1.0, 1.5, 3.0, 2.0):
+        with pytest.raises(FunctionalDomainError, match="integrates to 0"):
+            functional.tlsi_verify(dom, zero, p, 24)
+        assert dom._node_table[0][0] is zero
+
+
+class _UnreadableEntry:
+    def __getitem__(self, i):
+        raise AssertionError("memo read")
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((SQUARE.dim, math.nan, 24), FunctionalDomainError),
+        ((SQUARE.dim, math.inf, 24), FunctionalDomainError),
+        ((1, 2.0, 24), DimensionMismatchError),
+        ((SQUARE.dim, 2.0, 8), QuadratureUnsupportedError),
+    ],
+    ids=["nan", "inf", "dimension", "resolution"],
+)
+def test_tlsi_rejects_bad_arguments_before_the_memo(args, error):
+    dim, p, r = args
+    dom = Cube(1.0, 2)
+    f = corpora.trig_function(dim, 3)
+    dom._node_table[:] = [_UnreadableEntry()]
+    with pytest.raises(error):
+        functional.tlsi_verify(dom, f, p, r)
+
+
+def test_tlsi_memo_holds_one_table():
+    dom = Cube(1.0, 2)
+    fs = [corpora.trig_function(2, i) for i in range(50)]
+    for f in fs:
+        functional.tlsi_verify(dom, f, 2.0, 24)
+    assert len(dom._node_table) == 1
+    assert dom._node_table[0][0] is fs[-1]
 
 
 def test_tlsi_json_handles_infinite_q():
