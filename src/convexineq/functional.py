@@ -418,16 +418,18 @@ def _tlsi_nodes(domain: Domain, f: TestFunction, resolutions: tuple[int, ...]) -
     weights, |f| at the boundary nodes), all read-only.
 
     f and its gradient come from one ``value_and_gradient`` call on the
-    stacked nodes of every mesh.  The domain keeps the last table it built,
-    for the function object itself (compared with ``is``, not by
-    fingerprint) and these resolutions, so checks of one f at several
-    exponents evaluate it once.
+    stacked nodes of every mesh.  The domain's ``_meshes`` cache keeps the
+    last table under one fixed key, for the function object itself (compared
+    with ``is``, not by fingerprint) and these resolutions, so checks of one
+    f at several exponents evaluate it once.  The meshes are requested on
+    every call, so the quadrature a check asks for does not depend on what
+    earlier checks left in the memo.
     """
-    memo = domain._node_table
-    if memo and memo[0][0] is f and memo[0][1] == resolutions:
-        return memo[0][2]
     interior = [geometry.interior_quadrature(domain, r) for r in resolutions]
     boundary = [geometry.boundary_quadrature(domain, r) for r in resolutions]
+    hit = domain._meshes.get("tlsi_nodes")
+    if hit is not None and hit[0] is f and hit[1] == resolutions:
+        return hit[2]
     parts = [nodes for nodes, _ in interior] + [mesh.nodes for mesh in boundary]
     values, grads = f.value_and_gradient(np.concatenate(parts))
     f_abs = geometry._read_only(np.abs(values))
@@ -440,7 +442,7 @@ def _tlsi_nodes(domain: Domain, f: TestFunction, resolutions: tuple[int, ...]) -
         (w, f_parts[i], grad_parts[i], mesh.weights, f_parts[k + i])
         for i, ((_, w), mesh) in enumerate(zip(interior, boundary))
     )
-    memo[:] = [(f, resolutions, table)]
+    domain._meshes["tlsi_nodes"] = (f, resolutions, table)
     return table
 
 
@@ -481,9 +483,9 @@ def tlsi_verify(
     first evaluates f and its gradient once on the stacked nodes of every
     mesh it needs (for a trigonometric f, one terms x nodes table of phases,
     cosines and sines) and keeps |f| and |grad f| there in a one-entry memo
-    on the domain object, keyed by the function object itself and the
-    resolutions; checking the same f at another exponent reuses it, and any
-    other function or resolution replaces it.  The second step raises to the
+    in the domain object's mesh cache, keyed by the function object itself
+    and the resolutions; checking the same f at another exponent reuses it,
+    and any other function or resolution replaces it.  The second step raises to the
     power p and forms the terms, coefficients, tolerance and verdict on
     every call.  The meshes are the domain's cached ones.
 

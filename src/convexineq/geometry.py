@@ -161,15 +161,12 @@ class BoundaryMesh:
 
 class _Region:
     """What every domain shares: identity by canonical JSON, the quadrature
-    hooks, the caches of what is derived from the immutable body, and a
-    one-entry memo of a test function's values on the body's meshes.
+    hooks, and the caches of what is derived from the immutable body.
 
     Attributes are read-only once set, so a cached fingerprint or mesh can
     never go stale; the caches themselves are written by ``cached_property``
-    straight into ``__dict__``.  The memo is the one cache that does not
-    derive from the body alone: ``functional.tlsi_verify`` keeps there the
-    node table of the last function it checked on this object, replacing it
-    for the next function, so at most one table is held per domain.
+    straight into ``__dict__``.  One entry of ``_meshes`` is not derived from
+    the body alone; see there.
     """
 
     dim: int
@@ -194,14 +191,11 @@ class _Region:
 
     @functools.cached_property
     def _meshes(self) -> dict:
-        """Quadrature meshes already built, keyed by (kind, resolution)."""
+        """Quadrature meshes already built, keyed by (kind, resolution), and
+        under ``"tlsi_nodes"`` the one (function, resolutions, node table)
+        that ``functional.tlsi_verify`` keeps for the last function it
+        checked on this object."""
         return {}
-
-    @functools.cached_property
-    def _node_table(self) -> list:
-        """[(function, resolutions, node table)] of the last trace
-        log-Sobolev check on this object, or empty; never longer than one."""
-        return []
 
     def __eq__(self, other):
         if not isinstance(other, _Region):

@@ -409,7 +409,7 @@ def test_tlsi_zero_function_fails_on_every_exponent():
     for p in (2.0, 1.0, 1.5, 3.0, 2.0):
         with pytest.raises(FunctionalDomainError, match="integrates to 0"):
             functional.tlsi_verify(dom, zero, p, 24)
-        assert dom._node_table[0][0] is zero
+        assert dom._meshes["tlsi_nodes"][0] is zero
 
 
 class _UnreadableEntry:
@@ -431,7 +431,7 @@ def test_tlsi_rejects_bad_arguments_before_the_memo(args, error):
     dim, p, r = args
     dom = Cube(1.0, 2)
     f = corpora.trig_function(dim, 3)
-    dom._node_table[:] = [_UnreadableEntry()]
+    dom._meshes["tlsi_nodes"] = _UnreadableEntry()
     with pytest.raises(error):
         functional.tlsi_verify(dom, f, p, r)
 
@@ -441,8 +441,32 @@ def test_tlsi_memo_holds_one_table():
     fs = [corpora.trig_function(2, i) for i in range(50)]
     for f in fs:
         functional.tlsi_verify(dom, f, 2.0, 24)
-    assert len(dom._node_table) == 1
-    assert dom._node_table[0][0] is fs[-1]
+    meshes = {(kind, r) for kind in ("interior", "boundary") for r in (24, 16, 8)}
+    assert set(dom._meshes) == meshes | {"tlsi_nodes"}
+    assert dom._meshes["tlsi_nodes"][0] is fs[-1]
+
+
+def test_tlsi_requests_the_same_meshes_with_a_warm_memo(monkeypatch):
+    """A check asks for the same quadrature whether or not the memo already
+    holds its function, so what it requests does not depend on earlier
+    checks."""
+    requested = []
+    for kind in ("interior", "boundary"):
+        build = getattr(geometry, f"{kind}_quadrature")
+
+        def record(domain, r, kind=kind, build=build):
+            requested.append((kind, r))
+            return build(domain, r)
+
+        monkeypatch.setattr(geometry, f"{kind}_quadrature", record)
+    dom = Cube(1.0, 2)
+    f = corpora.trig_function(2, 3)
+    functional.tlsi_verify(dom, f, 2.0, 24)
+    cold = list(requested)
+    for p in (2.0, 1.0):
+        requested.clear()
+        functional.tlsi_verify(dom, f, p, 24)
+        assert requested == cold
 
 
 def test_tlsi_json_handles_infinite_q():
