@@ -109,19 +109,21 @@ def chunked(seed: int, purpose: int, rep: int, total: int, make):
     """Generate ``total`` rows in CHUNK-sized pieces with per-chunk streams.
 
     ``make(generator, count)`` must return an array whose leading dimension is
-    ``count``.  The concatenated result is independent of how the chunks are
-    scheduled, so a thread pool may process them in any order.
+    ``count``.  Chunk i draws from its own stream (seed, purpose, rep, i), so
+    its rows do not depend on the chunks made before it.  The chunks are made
+    in order and copied into one result allocated after the first, so at
+    most one chunk is held beside the result; a single chunk is returned as
+    it is.
     """
     if total <= 0:
         raise ValueError("total must be positive")
-    parts = []
-    done = 0
-    idx = 0
-    while done < total:
+    first = make(rng_for(seed, purpose, rep, 0), min(CHUNK, total))
+    if total <= CHUNK:
+        return first
+    out = np.empty((total,) + first.shape[1:], dtype=first.dtype)
+    out[:CHUNK] = first
+    del first
+    for idx, done in enumerate(range(CHUNK, total, CHUNK), start=1):
         take = min(CHUNK, total - done)
-        parts.append(make(rng_for(seed, purpose, rep, idx), take))
-        done += take
-        idx += 1
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=0)
+        out[done:done + take] = make(rng_for(seed, purpose, rep, idx), take)
+    return out

@@ -2,8 +2,15 @@
 
 Exact plans come from two routes. Equal-cardinality uniform instances reduce
 to an assignment problem; general instances solve the transportation linear
-program. A brute-force permutation oracle (at most 8 points) provides an
-independent ground truth for both.
+program. The assignment solver is given the column-reduced cost matrix
+(each column minus its minimum, the first step of Jonker and Volgenant,
+Computing 1987), which shifts every permutation's cost by the same constant,
+so the optimum is unchanged.  scipy's shortest augmenting path solver
+(Crouse, IEEE TAES 2016) skips that step, and on the nested-body matchings
+of the audits it runs faster from the reduced matrix.  The permutation it
+returns is priced on the unreduced matrix. A brute-force permutation oracle
+(at most 8 points) provides an independent ground truth for both routes; it
+builds its table of the k! permutations once per k.
 
 The entropic solver is a stabilized scaling Sinkhorn iteration with an
 epsilon ladder.  It updates kernel scalings (u, v) by mat-vecs and folds them
@@ -42,6 +49,7 @@ import lock makes a first call from several pool threads at once safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -238,7 +246,12 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
     """Optimal transport plan between two discrete measures.
 
     Equal-cardinality uniform pairs solve an assignment problem; everything
-    else solves the transportation linear program.  Instances larger than
+    else solves the transportation linear program.  The assignment is solved
+    on C minus its column minima and priced on C, so the cost is the sum of
+    the chosen entries of C over k.  Where the optimum is not unique (points
+    on a line at p = 1, lattice points) the permutation may be another
+    optimal one than scipy returns for C itself, and the cost may differ from
+    its cost by rounding.  Instances larger than
     4096 x 4096 fall back to entropic regularization with a warning, and
     with a second one if that iteration stops unconverged.
     """
@@ -260,7 +273,8 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
             )
         return plan
     if k1 == k2 and mu.is_uniform() and nu.is_uniform():
-        rows, cols = linear_sum_assignment(C)
+        # solved on the column-reduced matrix, priced on C (module docstring)
+        rows, cols = linear_sum_assignment(C - C.min(axis=0))
         plan = np.zeros_like(C)
         plan[rows, cols] = 1.0 / k1
         cost = float(C[rows, cols].sum() / k1)
@@ -304,7 +318,9 @@ def permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> 
     """Brute-force minimum over all permutation couplings.
 
     Independent ground truth for exact_ot on small uniform instances; the
-    measures must be uniform with equal cardinality at most 8.
+    measures must be uniform with equal cardinality at most 8.  The k! x k
+    table of permutations is built on the first call for each k and shared,
+    read-only, by every later call.
     """
     k = mu.count
     if k != nu.count:
@@ -314,7 +330,7 @@ def permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> 
     if not (mu.is_uniform() and nu.is_uniform()):
         raise SolverError("permutation oracle requires uniform weights")
     C = cost_matrix(mu, nu, p)
-    perms = np.array(list(itertools.permutations(range(k))))
+    perms = _permutations(k)
     costs = C[np.arange(k)[None, :], perms].sum(axis=1)
     best = perms[int(np.argmin(costs))]
     plan = np.zeros_like(C)
@@ -326,6 +342,14 @@ def permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> 
         solver="permutation_oracle",
         marginal_residual=_residual(plan, mu.weights, nu.weights),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(k: int) -> np.ndarray:
+    """The k! permutations of range(k) as rows, in itertools order; read-only."""
+    perms = np.array(list(itertools.permutations(range(k))))
+    perms.setflags(write=False)
+    return perms
 
 
 def _round_plan(P, a, b):

@@ -14,6 +14,7 @@ from convexineq import (
     geometry,
     sampling,
 )
+from convexineq._rng import CHUNK, Purpose, chunked, rng_for
 
 LSHAPE = RectUnion((((0.0, 0.0), (2.0, 1.0)), ((0.0, 1.0), (1.0, 2.0))))
 
@@ -89,6 +90,36 @@ def test_chunked_sampling_extends_prefix():
     small = sampling.sample_uniform(Cube(1.0, 2), 1000, seed=9)
     large = sampling.sample_uniform(Cube(1.0, 2), 2000, seed=9)
     assert np.array_equal(large.points[:1000], small.points)
+
+
+@pytest.mark.parametrize("total", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("kind", ["points", "integers"])
+def test_chunked_equals_the_concatenated_chunks(total, kind):
+    counts = []
+
+    def make(g, count):
+        counts.append(count)
+        return g.random((count, 3)) if kind == "points" else g.integers(0, 1000, size=count)
+
+    takes = [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
+    expect = np.concatenate(
+        [make(rng_for(4, Purpose.SAMPLE_DIRECT, 2, i), take) for i, take in enumerate(takes)]
+    )
+    counts.clear()
+    out = chunked(4, Purpose.SAMPLE_DIRECT, 2, total, make)
+    assert counts == takes
+    assert out.shape == expect.shape and out.dtype == expect.dtype
+    assert np.array_equal(out, expect)
+
+
+def test_chunked_returns_a_single_chunk_as_made():
+    made = []
+
+    def make(g, count):
+        made.append(g.random((count, 2)))
+        return made[-1]
+
+    assert chunked(4, Purpose.SAMPLE_DIRECT, 0, CHUNK, make) is made[0]
 
 
 def test_hit_and_run_zero_burnin_returns_start():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -165,6 +166,111 @@ def test_permutation_oracle_guards():
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.75, 0.25]))
     with pytest.raises(SolverError):
         transport.permutation_oracle(mu, mu, 1)
+
+
+def _raw_assignment(mu, nu, p):
+    """scipy's assignment on the unreduced cost matrix: rows, cols, cost."""
+    from scipy.optimize import linear_sum_assignment
+
+    C = transport.cost_matrix(mu, nu, p)
+    rows, cols = linear_sum_assignment(C)
+    return rows, cols, float(C[rows, cols].sum() / C.shape[0])
+
+
+def _assignment_of(plan):
+    rows, cols = np.nonzero(plan.plan)
+    assert np.array_equal(rows, np.arange(plan.plan.shape[0]))
+    assert np.array_equal(np.sort(cols), rows)
+    return rows, cols
+
+
+def _seeded_pair(m, d, seed):
+    g = np.random.default_rng([m, d, seed])
+    return DiscreteMeasure.uniform(g.normal(size=(m, d))), DiscreteMeasure.uniform(g.normal(size=(m, d)))
+
+
+# (d, p) = (1, 1) is left out: on the line |x - y| has many optimal
+# matchings, and test_exact_ot_on_the_line_at_p1_is_optimal covers it
+ASSIGNMENT_CASES = [
+    (m, d, p) for m in (2, 7, 100, 512, 1024) for d in (1, 2, 3) for p in (1, 2) if (d, p) != (1, 1)
+]
+
+
+@pytest.mark.parametrize("m,d,p", ASSIGNMENT_CASES)
+def test_exact_ot_assignment_equals_scipy_on_the_unreduced_matrix(m, d, p):
+    for seed in range(3 if m <= 100 else 1):
+        mu, nu = _seeded_pair(m, d, seed)
+        rows, cols, cost = _raw_assignment(mu, nu, p)
+        plan = transport.exact_ot(mu, nu, p)
+        assert all(np.array_equal(a, b) for a, b in zip(_assignment_of(plan), (rows, cols)))
+        assert plan.cost == cost
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("pair", corpora.audit_pairs(), ids=lambda pair: pair[0])
+def test_exact_ot_assignment_equals_scipy_on_the_audit_pairs(pair, p):
+    # the first repetition of a wasserstein_empirical matching at m = 1024
+    _, K, B = pair
+    ca = sample_uniform(K, 1024, child_seed(3, Purpose.EMPIRICAL_W, 0))
+    cb = sample_uniform(B, 1024, child_seed(3, Purpose.EMPIRICAL_W, 1))
+    mu, nu = DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb)
+    rows, cols, cost = _raw_assignment(mu, nu, p)
+    plan = transport.exact_ot(mu, nu, p)
+    assert all(np.array_equal(a, b) for a, b in zip(_assignment_of(plan), (rows, cols)))
+    assert plan.cost == cost
+
+
+@pytest.mark.parametrize("m", [2, 7, 100, 512, 1024])
+def test_exact_ot_on_the_line_at_p1_is_optimal(m):
+    # many matchings are optimal here, so the solver on the reduced matrix
+    # may pick another one than scipy on C; each is within rounding of the
+    # monotone rearrangement's cost
+    for seed in range(3):
+        mu, nu = _seeded_pair(m, 1, seed)
+        plan = transport.exact_ot(mu, nu, 1)
+        _assignment_of(plan)
+        exact = transport.wasserstein_1d(mu.support, nu.support, 1)
+        assert plan.cost == pytest.approx(_raw_assignment(mu, nu, 1)[2], rel=1e-13)
+        assert plan.cost == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_ot_on_lattice_points_matches_scipys_cost(seed):
+    # integer points at p = 2: every cost entry and every sum of them is an
+    # exact integer, and the optimum is far from unique
+    g = np.random.default_rng(seed)
+    grid = np.array([(i, j) for i in range(20) for j in range(20)], dtype=float)
+    mu = DiscreteMeasure.uniform(grid[g.choice(400, 100, replace=False)])
+    nu = DiscreteMeasure.uniform(grid[g.choice(400, 100, replace=False)])
+    plan = transport.exact_ot(mu, nu, 2)
+    _assignment_of(plan)
+    assert plan.cost == _raw_assignment(mu, nu, 2)[2]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_permutation_table_is_built_once_and_read_only(k):
+    table = transport._permutations(k)
+    assert np.array_equal(table, np.array(list(itertools.permutations(range(k)))))
+    assert transport._permutations(k) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+def _uncached_oracle(mu, nu, p):
+    k = mu.count
+    C = transport.cost_matrix(mu, nu, p)
+    perms = np.array(list(itertools.permutations(range(k))))
+    costs = C[np.arange(k)[None, :], perms].sum(axis=1)
+    return perms[int(np.argmin(costs))], float(costs.min() / k)
+
+
+def test_permutation_oracle_equals_the_uncached_table_on_the_ot_corpus():
+    for index in range(corpora.OT_INSTANCES):
+        mu, nu, p = corpora.ot_instance(index)
+        best, cost = _uncached_oracle(mu, nu, p)
+        plan = transport.permutation_oracle(mu, nu, p)
+        assert np.array_equal(_assignment_of(plan)[1], best)
+        assert plan.cost == cost
 
 
 def test_exact_cap_falls_back_to_sinkhorn(monkeypatch):
