@@ -249,9 +249,9 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
     else solves the transportation linear program.  The assignment is solved
     on C minus its column minima and priced on C, so the cost is the sum of
     the chosen entries of C over k.  Where the optimum is not unique (points
-    on a line at p = 1, lattice points) the permutation may be another
-    optimal one than scipy returns for C itself, and the cost may differ from
-    its cost by rounding.  Instances larger than
+    on a line at p = 1, lattice points), the permutation can be another
+    optimal one than scipy returns for C itself, at a cost equal up to
+    rounding.  Instances larger than
     4096 x 4096 fall back to entropic regularization with a warning, and
     with a second one if that iteration stops unconverged.
     """

@@ -186,7 +186,8 @@ def _assignment_of(plan):
 
 def _seeded_pair(m, d, seed):
     g = np.random.default_rng([m, d, seed])
-    return DiscreteMeasure.uniform(g.normal(size=(m, d))), DiscreteMeasure.uniform(g.normal(size=(m, d)))
+    x, y = g.normal(size=(2, m, d))
+    return DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y)
 
 
 # (d, p) = (1, 1) is left out: on the line |x - y| has many optimal
@@ -202,7 +203,8 @@ def test_exact_ot_assignment_equals_scipy_on_the_unreduced_matrix(m, d, p):
         mu, nu = _seeded_pair(m, d, seed)
         rows, cols, cost = _raw_assignment(mu, nu, p)
         plan = transport.exact_ot(mu, nu, p)
-        assert all(np.array_equal(a, b) for a, b in zip(_assignment_of(plan), (rows, cols)))
+        got_rows, got_cols = _assignment_of(plan)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
         assert plan.cost == cost
 
 
@@ -216,7 +218,8 @@ def test_exact_ot_assignment_equals_scipy_on_the_audit_pairs(pair, p):
     mu, nu = DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb)
     rows, cols, cost = _raw_assignment(mu, nu, p)
     plan = transport.exact_ot(mu, nu, p)
-    assert all(np.array_equal(a, b) for a, b in zip(_assignment_of(plan), (rows, cols)))
+    got_rows, got_cols = _assignment_of(plan)
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
     assert plan.cost == cost
 
 
