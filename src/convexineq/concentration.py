@@ -146,7 +146,8 @@ def _auto_t_grid(values: np.ndarray) -> np.ndarray:
 def _fit_tails(values: np.ndarray, m: int, seed: int, description: str) -> ConcentrationFit:
     centered = values - values.mean()
     grid = _auto_t_grid(centered)
-    counts = (np.abs(centered)[None, :] >= grid[:, None]).sum(axis=1)
+    a = np.abs(centered)
+    counts = np.array([np.count_nonzero(a >= t) for t in grid])
     tails = counts / m
     envelope = np.minimum.accumulate(tails)
     usable = np.flatnonzero(counts >= _MIN_EXCEEDANCES)

@@ -613,8 +613,10 @@ class L1Ball(ConvexBody):
 class HPolytope(ConvexBody):
     """Bounded polyhedron {x : A x <= b} with nonempty interior.
 
-    Construction solves 2n support programs to certify boundedness and a
-    Chebyshev-center program to certify a nonempty interior; both are cached.
+    Construction solves two linear programs, both cached: a Chebyshev-center
+    program certifies a nonempty interior, and one block-diagonal program of
+    2n copies of the constraints, one per coordinate and sign, gives the
+    bounding box and certifies boundedness.
     """
 
     def __init__(self, A, b):
@@ -664,24 +666,24 @@ class HPolytope(ConvexBody):
 
     def _compute_bbox(self):
         from scipy.optimize import linprog
+        from scipy.sparse import block_diag
 
+        # one program of 2n disjoint copies of A x <= b: copy 2i maximizes
+        # x_i and copy 2i + 1 minimizes it; the copies share no variable, so
+        # each one's part of the optimum solves its own support program
         n = self.dim
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for i in range(n):
-            for sign, out in ((1.0, hi), (-1.0, lo)):
-                c = np.zeros(n)
-                c[i] = -sign
-                res = linprog(c, A_ub=self.A, b_ub=self.b,
-                              bounds=[(None, None)] * n, method="highs")
-                if res.status == 3:
-                    raise UnboundedBodyError(
-                        f"polytope is unbounded along coordinate {i}"
-                    )
-                if not res.success:
-                    raise DegenerateBodyError(f"support program failed: {res.message}")
-                out[i] = sign * (-res.fun)
-        return _read_only(lo), _read_only(hi)
+        idx = np.arange(n)
+        c = np.zeros((2 * n, n))
+        c[2 * idx, idx] = -1.0
+        c[2 * idx + 1, idx] = 1.0
+        res = linprog(c.ravel(), A_ub=block_diag([self.A] * (2 * n), format="csr"),
+                      b_ub=np.tile(self.b, 2 * n), bounds=(None, None), method="highs")
+        if res.status == 3:
+            raise UnboundedBodyError("polytope is unbounded along a coordinate axis")
+        if not res.success:
+            raise DegenerateBodyError(f"support program failed: {res.message}")
+        X = res.x.reshape(2 * n, n)
+        return _read_only(X[2 * idx + 1, idx]), _read_only(X[2 * idx, idx])
 
     @property
     def chebyshev_center(self) -> np.ndarray:

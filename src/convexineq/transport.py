@@ -134,7 +134,7 @@ class DiscreteMeasure(Record):
         return DiscreteMeasure(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
     def is_uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.count, rtol=0, atol=1e-12))
+        return bool(np.all(np.abs(self.weights - 1.0 / self.count) <= 1e-12))
 
 
 def _merge_duplicates(pts, w):
@@ -142,9 +142,12 @@ def _merge_duplicates(pts, w):
     # keys stay floats, since an integer cast overflows past about 9.2e6, and
     # adding 0.0 turns -0.0 into 0.0
     key = np.round(pts / 1e-12) + 0.0
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    if first.shape[0] == pts.shape[0]:
+    # equal keys are adjacent once sorted; most supports have none, so the
+    # costlier np.unique runs only when a duplicate is found
+    ordered = key[np.lexsort(key.T[::-1])]
+    if not np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         return pts, w
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     merged_w = np.zeros(first.shape[0])
     np.add.at(merged_w, inverse, w)
     return pts[first], merged_w

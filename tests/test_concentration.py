@@ -45,6 +45,22 @@ def test_profile_tail_oracle():
     assert np.allclose(fit.tails, np.maximum(1.0 - 2.0 * fit.t_grid, 0.0), rtol=0.0, atol=2.0 / M)
 
 
+def test_exceedance_counts_equal_the_threshold_table():
+    # symmetric values with 40 copies of each rim fraction of the edge 1:
+    # nine thresholds sit exactly on sample values, where >= counts them
+    rim = np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 1.0])
+    bulk = np.random.default_rng(1).uniform(-1.0, 1.0, 5000)
+    values = np.concatenate([bulk, -bulk, np.repeat(np.concatenate([rim, -rim]), 40)])
+    fit = _fit(values)
+    a = np.abs(values - values.mean())
+    assert np.isin(fit.t_grid, a).sum() == 9
+    table = (a[None, :] >= fit.t_grid[:, None]).sum(axis=1)
+    assert fit.counts.dtype == table.dtype and np.array_equal(fit.counts, table)
+    uniform = _fit(UNIFORM)
+    a = np.abs(UNIFORM - UNIFORM.mean())
+    assert np.array_equal(uniform.counts, (a[None, :] >= uniform.t_grid[:, None]).sum(axis=1))
+
+
 def test_profile_envelope_monotone():
     fit = _fit(np.linalg.norm(np.random.default_rng(2).standard_normal((20_000, 2)), axis=1))
     assert np.all(np.diff(fit.envelope) <= 0.0)

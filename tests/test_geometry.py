@@ -100,6 +100,96 @@ def test_hpolytope_empty_rejected():
         HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-2.0, 1.0]))
 
 
+def test_hpolytope_unbounded_in_one_of_three_coordinates_rejected():
+    # a unit square in (x, y) times a half-line in z
+    A = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1]])
+    with pytest.raises(UnboundedBodyError):
+        HPolytope(A, np.ones(5))
+
+
+def _cube_rows(n):
+    eye = np.eye(n)
+    return np.vstack([eye, -eye]), np.full(2 * n, 0.5)
+
+
+def _cross_rows(n):
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * n)).reshape(n, -1).T
+    return signs, np.ones(signs.shape[0])
+
+
+def _random_rows(n, seed, box=True):
+    # unit normals at offsets in [1/2, 1], and with ``box`` the faces of [-1, 1]^n
+    g = np.random.default_rng(seed)
+    normals = g.standard_normal((3 * n if box else 20 * n, n))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    b = g.uniform(0.5, 1.0, normals.shape[0])
+    if not box:
+        return normals, b
+    return np.vstack([normals, np.eye(n), -np.eye(n)]), np.concatenate([b, np.ones(2 * n)])
+
+
+def _per_coordinate_bbox(P):
+    # the 2n support programs max x_i and min x_i, one linprog call each
+    from scipy.optimize import linprog
+
+    n = P.dim
+    lo, hi = np.empty(n), np.empty(n)
+    for i in range(n):
+        for sign, out in ((1.0, hi), (-1.0, lo)):
+            c = np.zeros(n)
+            c[i] = -sign
+            res = linprog(c, A_ub=P.A, b_ub=P.b, bounds=[(None, None)] * n, method="highs")
+            assert res.status == 0
+            out[i] = sign * (-res.fun)
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_hpolytope_construction_makes_two_linear_programs(n, monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    for rows in (_cube_rows(n), _cross_rows(n), _random_rows(n, 0)):
+        calls.clear()
+        HPolytope(*rows)
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("shape", ["cube", "cross", "random-0", "random-1", "random-2"])
+def test_hpolytope_bounding_box_is_bit_equal_on_the_benchmark_shapes(shape, n):
+    # the cube, cross-polytope and boxed random polytopes the montecarlo
+    # benchmark builds: the block program reads the same bits as 2n programs
+    if shape == "cube":
+        rows = _cube_rows(n)
+    elif shape == "cross":
+        rows = _cross_rows(n)
+    else:
+        rows = _random_rows(n, int(shape[-1]))
+    P = HPolytope(*rows)
+    lo, hi = P.bounding_box()
+    want_lo, want_hi = _per_coordinate_bbox(P)
+    assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_hpolytope_bounding_box_matches_support_programs(n):
+    # without the box faces the two solves may end on different last bits
+    P = HPolytope(*_random_rows(n, 4, box=False))
+    lo, hi = P.bounding_box()
+    want_lo, want_hi = _per_coordinate_bbox(P)
+    assert np.all(lo < hi)
+    np.testing.assert_allclose(lo, want_lo, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(hi, want_hi, rtol=0.0, atol=1e-12)
+
+
 def test_affine_image_volume_scales_by_determinant():
     img = geometry.apply_affine(Ball(1.0, 2), np.diag([2.0, 1.0]))
     v = geometry.volume_with_error(img, mc_samples=200_000, seed=7)

@@ -47,6 +47,49 @@ def test_discrete_measure_keeps_distinct_points_at_any_scale(exponent, sign):
     assert sorted(again.weights.tolist()) == pytest.approx([1 / 6, 1 / 6, 1 / 3, 1 / 3])
 
 
+def _merge_with_unique(pts, w):
+    # the merge as np.unique alone computes it, without the sorted pre-check
+    key = np.round(pts / 1e-12) + 0.0
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    if first.shape[0] == pts.shape[0]:
+        return pts, w
+    merged_w = np.zeros(first.shape[0])
+    np.add.at(merged_w, inverse, w)
+    return pts[first], merged_w
+
+
+def _merge_cases():
+    g = np.random.default_rng(12)
+    base = g.normal(size=(1024, 2))
+    yield "distinct", base
+    yield "exact", np.vstack([base[:5], base[3:4], base[:1]])
+    # within 1e-12 of each other, on one side of a rounding edge or across it
+    yield "near", np.vstack([base[:6], base[2:3] + 3e-13, base[4:5] - 4e-13, base[5:6] + 8e-13])
+    yield "signed-zero", np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
+    yield "huge", np.array([[9.2e6, 1.0], [9.2e6 + 1e-6, 1.0], [9.2e6, 1.0], [1e290, -1e290],
+                            [1.5e290, -1e290], [-4e18, 3e18]])
+    yield "one-point", base[:1]
+    yield "all-equal", np.repeat(base[:1], 7, axis=0)
+
+
+@pytest.mark.parametrize("name,pts", list(_merge_cases()), ids=[c[0] for c in _merge_cases()])
+def test_merge_duplicates_equals_the_unique_merge(name, pts):
+    w = np.random.default_rng(3).uniform(0.5, 1.5, pts.shape[0])
+    got_pts, got_w = transport._merge_duplicates(pts.copy(), w.copy())
+    want_pts, want_w = _merge_with_unique(pts.copy(), w.copy())
+    assert got_pts.tobytes() == want_pts.tobytes() and got_w.tobytes() == want_w.tobytes()
+    assert (got_pts.shape[0] < pts.shape[0]) == (name not in ("distinct", "one-point"))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, -9e-13, 1e-12, 1.1e-12, -2e-12, 1e-9])
+def test_is_uniform_is_allclose_at_atol_1e_12(offset):
+    w = np.full(8, 1.0 / 8)
+    w[3] += offset
+    w[5] -= offset
+    got = DiscreteMeasure(np.arange(16.0).reshape(8, 2), w).is_uniform()
+    assert got == bool(np.allclose(w, 1.0 / 8, rtol=0, atol=1e-12))
+
+
 def test_discrete_measure_weight_validation():
     with pytest.raises(NotNormalizedError):
         DiscreteMeasure(np.zeros((2, 2)), np.array([0.7, 0.7]))
