@@ -1,16 +1,22 @@
 """Discrete optimal transport and Wasserstein estimation.
 
-Exact plans come from two routes. Equal-cardinality uniform instances reduce
-to an assignment problem; general instances solve the transportation linear
-program. The assignment solver is given the column-reduced cost matrix
-(each column minus its minimum, the first step of Jonker and Volgenant,
-Computing 1987), which shifts every permutation's cost by the same constant,
-so the optimum is unchanged.  scipy's shortest augmenting path solver
-(Crouse, IEEE TAES 2016) skips that step, and on the nested-body matchings
-of the audits it runs faster from the reduced matrix.  The permutation it
-returns is priced on the unreduced matrix. A brute-force permutation oracle
-(at most 8 points) provides an independent ground truth for both routes; it
-builds its table of the k! permutations once per k.
+Exact plans come from three routes.  Equal-cardinality uniform instances
+reduce to an assignment problem.  Other instances on the line take the
+monotone (quantile) coupling: sort both supports and match their cumulative
+weights, which is optimal for |x - y|^p with p >= 1 (Villani, Topics in
+Optimal Transportation, 2003, Thm 2.18; Santambrogio, Optimal Transport for
+Applied Mathematicians, 2015, 2.2).  It needs only numpy and has at most
+k1 + k2 - 1 nonzero entries.  The rest, in dimension two and up, solve the
+transportation linear program of k1 k2 variables.  The assignment solver is
+given the column-reduced cost matrix (each column minus its minimum, the
+first step of Jonker and Volgenant, Computing 1987), which shifts every
+permutation's cost by the same constant, so the optimum is unchanged.
+scipy's shortest augmenting path solver (Crouse, IEEE TAES 2016) skips that
+step, and on the nested-body matchings of the audits it runs faster from the
+reduced matrix.  The permutation it returns is priced on the unreduced
+matrix.  A brute-force permutation oracle (at most 8 points) provides an
+independent ground truth for small uniform instances; it builds its table of
+the k! permutations once per k.
 
 The entropic solver is a stabilized scaling Sinkhorn iteration with an
 epsilon ladder.  It updates kernel scalings (u, v) by mat-vecs and folds them
@@ -42,9 +48,10 @@ cover it.
 
 scipy.optimize (the assignment solver and the LP) and scipy.sparse (the LP's
 constraint matrix) are imported the first time ``exact_ot`` needs them, not
-with the module: scipy.optimize takes about half a second to import, and
-importing the package should not cost that when no plan is solved.  Python's
-import lock makes a first call from several pool threads at once safe.
+with the module, and the monotone route needs neither: scipy.optimize takes
+about half a second to import, and importing the package should not cost
+that when no plan is solved.  Python's import lock makes a first call from
+several pool threads at once safe.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ from .reporting import Record, jsonable
 from .sampling import PointCloud, sample_uniform
 
 _EXACT_CAP = 4096
+# coordinates below this in magnitude merge on round(x / 1e-12), which stays
+# finite under it
+_KEY_LIMIT = 1e296
 # sinkhorn folds its scalings into the log potentials outside [1/max, max]
 _SCALE_MAX = math.exp(50.0)
 _SCALE_MIN = 1.0 / _SCALE_MAX
@@ -138,10 +148,8 @@ class DiscreteMeasure(Record):
 
 
 def _merge_duplicates(pts, w):
-    # duplicates within 1e-12: group by rounded coordinates, sum weights; the
-    # keys stay floats, since an integer cast overflows past about 9.2e6, and
-    # adding 0.0 turns -0.0 into 0.0
-    key = np.round(pts / 1e-12) + 0.0
+    # duplicates within 1e-12: group by rounded coordinates, sum weights
+    key = _merge_key(pts)
     # equal keys are adjacent once sorted; most supports have none, so the
     # costlier np.unique runs only when a duplicate is found
     ordered = key[np.lexsort(key.T[::-1])]
@@ -151,6 +159,21 @@ def _merge_duplicates(pts, w):
     merged_w = np.zeros(first.shape[0])
     np.add.at(merged_w, inverse, w)
     return pts[first], merged_w
+
+
+def _merge_key(pts):
+    # round(x / 1e-12) per coordinate; the keys stay floats, since an integer
+    # cast overflows past about 9.2e6, and adding 0.0 turns -0.0 into 0.0
+    if np.abs(pts).max() < _KEY_LIMIT:
+        return np.round(pts / 1e-12) + 0.0
+    # x / 1e-12 overflows from about 1.8e296 on.  Such a coordinate keys as
+    # itself (its spacing is far above 1e-12, so only equal values merge),
+    # behind a column holding its sign, which orders it past every rounded
+    # key of its sign; smaller coordinates key as above behind a 0
+    big = np.abs(pts) >= _KEY_LIMIT
+    small = np.round(np.where(big, 0.0, pts) / 1e-12) + 0.0
+    key = np.stack([np.sign(pts) * big, np.where(big, pts, small)], axis=2)
+    return key.reshape(pts.shape[0], -1)
 
 
 @dataclass(frozen=True)
@@ -248,13 +271,17 @@ def linprog(c, **kwargs):
 def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPlan:
     """Optimal transport plan between two discrete measures.
 
-    Equal-cardinality uniform pairs solve an assignment problem; everything
-    else solves the transportation linear program.  The assignment is solved
-    on C minus its column minima and priced on C, so the cost is the sum of
-    the chosen entries of C over k.  Where the optimum is not unique (points
-    on a line at p = 1, lattice points), the permutation can be another
-    optimal one than scipy returns for C itself, at a cost equal up to
-    rounding.  Instances larger than
+    Equal-cardinality uniform pairs solve an assignment problem.  The
+    assignment is solved on C minus its column minima and priced on C, so
+    the cost is the sum of the chosen entries of C over k.  Where the
+    optimum is not unique (points on a line at p = 1, lattice points), the
+    permutation can be another optimal one than scipy returns for C itself,
+    at a cost equal up to rounding.  Other pairs on the line take the
+    monotone coupling (``monotone_coupling``), priced on C as the sum of
+    its masses times their entries of C; at p = 1 it too may be another
+    optimum than a linear program would return.  Pairs in dimension two and
+    up that are not assignments solve the transportation linear program.
+    All three routes report ``solver="exact"``.  Instances larger than
     4096 x 4096 fall back to entropic regularization with a warning, and
     with a second one if that iteration stops unconverged.
     """
@@ -275,22 +302,16 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
                 stacklevel=2,
             )
         return plan
+    a, b = mu.weights, nu.weights
     if k1 == k2 and mu.is_uniform() and nu.is_uniform():
         # solved on the column-reduced matrix, priced on C (module docstring)
         rows, cols = linear_sum_assignment(C - C.min(axis=0))
-        plan = np.zeros_like(C)
-        plan[rows, cols] = 1.0 / k1
-        cost = float(C[rows, cols].sum() / k1)
-        return CouplingPlan(
-            plan=plan,
-            cost=cost,
-            p=p,
-            solver="exact",
-            marginal_residual=_residual(plan, mu.weights, nu.weights),
-        )
+        return _exact_plan(C, rows, cols, 1.0 / k1, float(C[rows, cols].sum() / k1), p, a, b)
+    if mu.dim == 1:
+        rows, cols, mass = monotone_coupling(mu.support[:, 0], a, nu.support[:, 0], b)
+        return _exact_plan(C, rows, cols, mass, float(C[rows, cols] @ mass), p, a, b)
     from scipy import sparse
 
-    a, b = mu.weights, nu.weights
     # equality constraints: all row sums, and all but one column sum (the
     # dropped one is implied since both weight vectors sum to 1); sparse, as
     # the dense matrix would hold (k1 + k2 - 1) k1 k2 entries
@@ -315,6 +336,51 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
         solver="exact",
         marginal_residual=_residual(plan, a, b),
     )
+
+
+def _exact_plan(C, rows, cols, mass, cost, p, a, b) -> CouplingPlan:
+    # an exact route's plan: ``mass`` at (rows, cols), zeros elsewhere
+    plan = np.zeros_like(C)
+    plan[rows, cols] = mass
+    return CouplingPlan(
+        plan=plan, cost=cost, p=p, solver="exact", marginal_residual=_residual(plan, a, b)
+    )
+
+
+def monotone_coupling(x, a, y, b):
+    """The monotone (quantile) coupling of two weighted point sets on the line.
+
+    ``x`` and ``y`` are 1-D supports in any order, ``a`` and ``b`` their
+    nonnegative weights, each summing to one.  Both supports are sorted
+    (stable argsort) and their cumulative weights, clipped to 1 and ending at
+    exactly 1, are merged by the north-west corner rule: each piece between
+    consecutive merged breakpoints carries its length as mass from the
+    first atom of ``x`` whose cumulative weight reaches the piece's right end
+    to the first such atom of ``y``.  Zero-length pieces are dropped, so
+    zero-weight atoms receive no mass and the plan has at most
+    ``len(x) + len(y) - 1`` entries.  Returns ``(rows, cols, mass)``, with
+    rows and columns indexing ``x`` and ``y`` as given, in increasing order of
+    both sorted supports.  For the cost |x - y|^p with p >= 1 this plan is
+    optimal (Villani, Topics in Optimal Transportation, 2003, Thm 2.18;
+    Santambrogio, Optimal Transport for Applied Mathematicians, 2015, 2.2).
+    """
+    ix = np.argsort(x, kind="stable")
+    iy = np.argsort(y, kind="stable")
+    fa, fb = _cumulative(a[ix]), _cumulative(b[iy])
+    ends = np.sort(np.concatenate([fa, fb]))
+    mass = np.diff(ends, prepend=0.0)
+    keep = mass > 0.0
+    ends, mass = ends[keep], mass[keep]
+    return ix[np.searchsorted(fa, ends)], iy[np.searchsorted(fb, ends)], mass
+
+
+def _cumulative(w):
+    # cumulative weights, clipped to 1 and ending at exactly 1; the whole
+    # run of values equal to the last is set to 1, so that trailing
+    # zero-weight atoms do not take the rounding gap below 1
+    f = np.minimum(np.cumsum(w), 1.0)
+    f[f >= f[-1]] = 1.0
+    return f
 
 
 def permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPlan:

@@ -80,6 +80,19 @@ def test_exact_ot_loads_scipy_optimize_and_sparse():
     assert {"scipy.optimize", "scipy.sparse"} <= set(loaded)
 
 
+def test_exact_ot_on_the_line_loads_neither_scipy_optimize_nor_sparse():
+    # non-uniform weights and unequal sizes: the monotone coupling, numpy only
+    got = _fresh(
+        "from convexineq import transport\n"
+        "mu = transport.DiscreteMeasure([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25])\n"
+        "nu = transport.DiscreteMeasure([[0.5], [2.0]], [0.75, 0.25])\n"
+        "plan = transport.exact_ot(mu, nu, 2)\n"
+        f"print(json.dumps([plan.cost, plan.solver, {_LOADED}]))\n"
+    )
+    # 0 -> 0.5 carries 0.5, 1 -> 0.5 and 3 -> 2 carry 0.25 each
+    assert got == [0.5 * 0.25 + 0.25 * 0.25 + 0.25 * 1.0, "exact", []]
+
+
 def test_first_exact_ot_calls_on_the_pool_match_a_warm_process():
     # four repetitions on a pool of four threads that switch often: several
     # reach the first import of the assignment solver at once
@@ -96,7 +109,8 @@ def test_first_exact_ot_calls_on_the_pool_match_a_warm_process():
 
 
 def test_first_exact_ot_call_solving_the_lp_matches_a_warm_call():
-    # unequal sizes: the first call goes through the transportation LP
+    # unequal sizes in the plane: the first call goes through the
+    # transportation LP
     g = np.random.default_rng(5)
     xs, ys = g.normal(size=(7, 2)), g.normal(size=(9, 2))
     got = _fresh(

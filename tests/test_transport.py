@@ -47,6 +47,20 @@ def test_discrete_measure_keeps_distinct_points_at_any_scale(exponent, sign):
     assert sorted(again.weights.tolist()) == pytest.approx([1 / 6, 1 / 6, 1 / 3, 1 / 3])
 
 
+@pytest.mark.parametrize("scale", [1e300, 1.7e297, 1e296])
+def test_discrete_measure_keeps_huge_distinct_points_apart(scale):
+    # pts / 1e-12 overflowed to inf past about 1.8e296, which merged these
+    pts = scale * np.array([[1.0, -1.0], [1.5, -1.0], [-1.5, 1.0], [1.0, -1.0]])
+    pts = np.vstack([pts, [[1.0, 0.0], [1.0, 5e-13]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = DiscreteMeasure.uniform(pts)
+    # the repeated huge point and the two points within 1e-12 merge
+    assert d.count == 4
+    assert d.support.tolist() == [[-1.5 * scale, scale], [1.0, 0.0], [scale, -scale], [1.5 * scale, -scale]]
+    assert d.weights.tolist() == pytest.approx([1 / 6, 1 / 3, 1 / 3, 1 / 6])
+
+
 def _merge_with_unique(pts, w):
     # the merge as np.unique alone computes it, without the sorted pre-check
     key = np.round(pts / 1e-12) + 0.0
@@ -150,7 +164,7 @@ def test_exact_ot_matches_oracle_small():
 
 
 def test_exact_ot_nonuniform_weights():
-    """Unequal weights route through the transportation LP."""
+    """Unequal weights on the line take the monotone coupling."""
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.75, 0.25]))
     nu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
     plan = transport.exact_ot(mu, nu, 1)
@@ -159,7 +173,7 @@ def test_exact_ot_nonuniform_weights():
     assert plan.solver == "exact"
 
 
-def test_transport_lp_matches_the_1d_cdf_closed_form():
+def test_monotone_coupling_matches_the_1d_cdf_closed_form():
     """A non-uniform 150 x 151 instance on the line: W1 = integral of |F - G|."""
     rng = np.random.default_rng(8)
     x, y = rng.normal(size=150), rng.normal(0.3, 1.5, size=151)
@@ -172,6 +186,71 @@ def test_transport_lp_matches_the_1d_cdf_closed_form():
     w1 = float((np.abs(F - G) * np.diff(grid)).sum())
     assert plan.cost == pytest.approx(w1, rel=1e-9)
     assert plan.marginal_residual <= 1e-9
+
+
+def _line_instance(seed):
+    # sizes 1-39 with k = 1 against k, tied supports across the two sides
+    # (a 0.1 grid) and zero-weight atoms
+    g = np.random.default_rng([19, seed])
+    k1, k2 = (1, int(g.integers(1, 40))) if seed % 5 == 0 else g.integers(1, 40, size=2)
+    x = np.unique(np.round(g.normal(size=k1), 1))
+    y = np.unique(np.round(g.normal(size=k2), 1))
+    a, b = g.random(x.size), g.random(y.size)
+    a[g.random(x.size) < 0.25] = 0.0
+    b[g.random(y.size) < 0.25] = 0.0
+    a[0] += 0.1
+    b[-1] += 0.1
+    return x, a / a.sum(), y, b / b.sum()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_monotone_coupling_equals_the_lp_of_the_embedded_instance(p):
+    # the same points with a zero second coordinate take the transportation LP
+    ties = zero_weights = unequal = singles = 0
+    for seed in range(60):
+        x, a, y, b = _line_instance(seed)
+        line = transport.exact_ot(DiscreteMeasure(x[:, None], a), DiscreteMeasure(y[:, None], b), p)
+        plane = transport.exact_ot(
+            DiscreteMeasure(np.c_[x, 0 * x], a), DiscreteMeasure(np.c_[y, 0 * y], b), p
+        )
+        assert line.cost == pytest.approx(plane.cost, rel=1e-12, abs=1e-300)
+        assert max(line.marginal_residual, plane.marginal_residual) <= 1e-12
+        ties += np.intersect1d(x, y).size > 0
+        zero_weights += np.any(a == 0.0) or np.any(b == 0.0)
+        unequal += x.size != y.size
+        singles += min(x.size, y.size) == 1
+    assert min(ties, zero_weights, unequal, singles) > 0
+
+
+def test_exact_ot_on_the_line_never_calls_the_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the transportation LP was called")
+
+    monkeypatch.setattr(transport, "linprog", refuse)
+    for seed in range(20):
+        x, a, y, b = _line_instance(seed)
+        plan = transport.exact_ot(DiscreteMeasure(x[:, None], a), DiscreteMeasure(y[:, None], b), 2)
+        assert plan.solver == "exact"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_monotone_coupling_is_a_chain_in_both_sorted_supports(seed):
+    x, a, y, b = _line_instance(seed)
+    # shuffled, so that the plan's indices differ from the sorted ranks
+    g = np.random.default_rng(seed)
+    sx, sy = g.permutation(x.size), g.permutation(y.size)
+    x, a, y, b = x[sx], a[sx], y[sy], b[sy]
+    plan = transport.exact_ot(DiscreteMeasure(x[:, None], a), DiscreteMeasure(y[:, None], b), 1)
+    rows, cols = np.nonzero(plan.plan)
+    assert rows.size <= x.size + y.size - 1
+    # ranks in the sorted supports, visited in increasing order of x then y
+    rx, ry = np.argsort(np.argsort(x))[rows], np.argsort(np.argsort(y))[cols]
+    order = np.lexsort((ry, rx))
+    rx, ry = rx[order], ry[order]
+    assert np.all(np.diff(rx) >= 0) and np.all(np.diff(ry) >= 0)
+    assert np.all((np.diff(rx) > 0) | (np.diff(ry) > 0))
+    assert np.all(a[rows] > 0) and np.all(b[cols] > 0)
+    assert plan.solver == "exact"
 
 
 def test_discrete_measure_leaves_the_callers_points_writeable():
