@@ -57,7 +57,6 @@ class Purpose(enum.IntEnum):
     TRIG = 46
     # concentration
     TAU = 51
-    TAU_DIRS = 52
     AUDIT_MEAN_K = 53
     AUDIT_MEAN_B = 54
     AUDIT_SQ_K = 55

@@ -111,9 +111,7 @@ def _run_tci(manifest, params):
 
 def _run_concentration(manifest, params):
     body = _body(params, "body", geometry.Cube(1.0, 2))
-    res = concentration.tau1_proxy(
-        body, m=params.get("m", 50_000), seed=_seed(manifest), extra_directions=params.get("extra_directions", 0)
-    )
+    res = concentration.tau1_proxy(body, m=params.get("m", 50_000), seed=_seed(manifest))
     rows = [row for fit in res.fits for row in fit.csv_rows()]
     header = ("functional", "t", "raw_tail", "envelope_tail", "usable")
     payload = {"tau_proxy": res.estimate, "argmin": res.argmin, "body": body}
@@ -152,10 +150,7 @@ _COMMANDS = {
     "tlsi-verify": (_run_tlsi, SLICE_PARAMS[acceptance.tlsi_corpus]),
     "dirichlet-sharpness": (_run_dirichlet, SLICE_PARAMS[acceptance.dirichlet_corpus]),
     "brenier-1d": (_run_brenier, SLICE_PARAMS[acceptance.brenier_corpus]),
-    "concentration": (
-        _run_concentration,
-        {"body": _BODY, "m": _INT, "extra_directions": {"type": "integer", "minimum": 0}},
-    ),
+    "concentration": (_run_concentration, {"body": _BODY, "m": _INT}),
     "lemma1-audit": (_run_lemma1, SLICE_PARAMS[acceptance.lemma1_corpus]),
     "suite": (_run_suite, {}),
 }

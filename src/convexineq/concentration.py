@@ -15,20 +15,19 @@ threshold certifies).
 
 tau1_proxy turns this into a crude transport-constant proxy by taking the
 worst fitted alpha over a probe family: the n coordinate functionals plus
-the recentered Euclidean norm, optionally extended with seeded random
-directions.  All probes share one sample cloud so bodies at equal seeds are
-compared on common randomness.
+the Euclidean norm.  All probes share one sample cloud so bodies at equal
+seeds are compared on common randomness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, isotropy, transport
-from ._rng import Purpose, child_seed, rng_for
+from ._rng import Purpose, child_seed
 from .errors import NotNormalizedError, SamplingError
 from .estimate import Estimate, combined_stderr
 from .geometry import Domain
@@ -36,54 +35,6 @@ from .reporting import Record, jsonable
 from .sampling import estimate_mean_norm_p, sample_uniform
 
 _MIN_EXCEEDANCES = 30
-
-
-@dataclass(frozen=True)
-class LipschitzFunctional:
-    """A functional that is 1-Lipschitz by construction.
-
-    kinds: coordinate (params["index"]), direction (params["u"], normalized
-    at build time), norm (Euclidean norm; 1-Lipschitz by the reverse
-    triangle inequality).
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.kind == "coordinate":
-            return pts[:, self.params["index"]].copy()
-        if self.kind == "direction":
-            return pts @ np.asarray(self.params["u"], dtype=float)
-        if self.kind == "norm":
-            return np.linalg.norm(pts, axis=1)
-        raise SamplingError(f"unknown functional kind {self.kind!r}")
-
-    @property
-    def description(self) -> str:
-        if self.kind == "coordinate":
-            return f"x[{self.params['index']}]"
-        if self.kind == "direction":
-            u = np.asarray(self.params["u"])
-            return "dir(" + ",".join(f"{v:.4g}" for v in u) + ")"
-        return "|x|"
-
-
-def coordinate_functional(index: int) -> LipschitzFunctional:
-    return LipschitzFunctional("coordinate", {"index": int(index)})
-
-
-def direction_functional(u) -> LipschitzFunctional:
-    u = np.asarray(u, dtype=float)
-    norm = float(np.linalg.norm(u))
-    if norm <= 0:
-        raise SamplingError("direction must be nonzero")
-    return LipschitzFunctional("direction", {"u": tuple(u / norm)})
-
-
-def norm_functional() -> LipschitzFunctional:
-    return LipschitzFunctional("norm")
 
 
 @dataclass(frozen=True)
@@ -140,7 +91,8 @@ def _auto_t_grid(values: np.ndarray) -> np.ndarray:
     bulk = sigma * np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     rim = edge * np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98])
     grid = np.unique(np.concatenate([bulk, rim]))
-    return grid[grid > 0]
+    # a sigma multiple past the edge would always count 0 exceedances
+    return grid[(grid > 0) & (grid <= edge)]
 
 
 def _fit_tails(values: np.ndarray, m: int, seed: int, description: str) -> ConcentrationFit:
@@ -190,25 +142,17 @@ class TauProxyResult(Record):
         return jsonable({"tau_proxy": self.estimate, "argmin": self.argmin, "fits": self.fits})
 
 
-def tau1_proxy(
-    body: Domain, m: int = 200_000, seed: int = 0, extra_directions: int = 0
-) -> TauProxyResult:
+def tau1_proxy(body: Domain, m: int = 200_000, seed: int = 0) -> TauProxyResult:
     """Sub-gaussian transport-constant proxy: min fitted alpha over probes.
 
-    Probes are the n coordinate functionals and the Euclidean norm, plus
-    extra_directions seeded random unit directions; all probes are evaluated
-    on one shared cloud.
+    Probes are the n coordinate functionals x[i] and the Euclidean norm |x|,
+    all read off one shared cloud.
     """
     if m < 10_000:
         raise SamplingError(f"tail estimation needs at least 10^4 samples, got {m}")
-    cloud = sample_uniform(body, m, child_seed(seed, Purpose.TAU))
-    probes = [coordinate_functional(i) for i in range(body.dim)]
-    probes.append(norm_functional())
-    if extra_directions > 0:
-        g = rng_for(seed, Purpose.TAU_DIRS)
-        for _ in range(extra_directions):
-            probes.append(direction_functional(g.standard_normal(body.dim)))
-    fits = [_fit_tails(F(cloud.points), m, seed, F.description) for F in probes]
+    pts = sample_uniform(body, m, child_seed(seed, Purpose.TAU)).points
+    fits = [_fit_tails(pts[:, i], m, seed, f"x[{i}]") for i in range(body.dim)]
+    fits.append(_fit_tails(np.linalg.norm(pts, axis=1), m, seed, "|x|"))
     k = int(np.argmin([f.alpha_hat for f in fits]))
     best = fits[k]
     return TauProxyResult(estimate=best.estimate, fits=tuple(fits), argmin=best.functional)

@@ -56,7 +56,7 @@ from .errors import (
     UnboundedBodyError,
 )
 from .estimate import Estimate
-from ._rng import CHUNK, Purpose, rng_for
+from ._rng import Purpose, chunked, rng_for
 from .reporting import Record, canonical_hash
 
 _DET_FLOOR = 1e-12
@@ -1206,16 +1206,11 @@ def volume_with_error(
         raise SamplingError(f"Monte Carlo sample budget must be positive, got {mc_samples}")
     lo, hi = body.bounding_box()
     box_vol = float(np.prod(hi - lo))
-    hits = 0
-    done = 0
-    idx = 0
-    while done < mc_samples:
-        take = min(CHUNK, mc_samples - done)
-        g = rng_for(seed, Purpose.VOLUME_MC, chunk=idx)
-        pts = lo + (hi - lo) * g.random((take, body.dim))
-        hits += int(body.contains_many(pts).sum())
-        done += take
-        idx += 1
+
+    def make(g, take):
+        return body.contains_many(lo + (hi - lo) * g.random((take, body.dim)))
+
+    hits = int(chunked(seed, Purpose.VOLUME_MC, 0, mc_samples, make).sum())
     p = hits / mc_samples
     value = box_vol * p
     stderr = box_vol * math.sqrt(max(p * (1 - p), 1.0 / mc_samples) / mc_samples)

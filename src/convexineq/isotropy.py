@@ -20,7 +20,7 @@ to the uniform law on a superset B, which is exactly log(|B| / |K|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,9 +103,7 @@ def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Iso
     # through the normalizing scale at order 1/n
     rel_v = vol_est.stderr / vol_est.value if vol_est.value else 0.0
     L_se = math.hypot(L_se_sampling, L * rel_v / n)
-    mu2 = check_cloud.weights @ mapped
-    centered = mapped - mu2
-    cov2 = (centered * check_cloud.weights[:, None]).T @ centered
+    _, cov2 = covariance(replace(check_cloud, points=mapped))
     eig2 = np.linalg.eigvalsh(cov2)
     defect = float(eig2[-1] / eig2[0] - 1.0)
     return IsotropyReport(

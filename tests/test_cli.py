@@ -271,6 +271,13 @@ def test_workers_key_and_flag_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_extra_directions_key_rejected(tmp_path, capsys):
+    manifest = {"command": "concentration", "params": {"extra_directions": 2}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "$.params" in err and "extra_directions" in err
+
+
 def test_slice_params_are_runner_arguments_with_defaults():
     for runner, props in acceptance.SLICE_PARAMS.items():
         args = inspect.signature(runner).parameters
@@ -358,7 +365,7 @@ PINNED_REPORTS = [
     (
         {"command": "concentration", "params": {"m": 10000}},
         {
-            "concentration.csv": "e0233f4cc485008644cd0b15f63a7a8225f832e625a8d6fa572d349d7e690963",
+            "concentration.csv": "f44a8c2a3397744f2d4f3ed62c4500b9f55d2fc553c06e818d6542750a238319",
             "concentration.json": "937c82dd8e3c209118ec50bd395e6e6db7d3daab152981d938917fb39af28da7",
         },
     ),

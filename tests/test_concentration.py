@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,23 +10,9 @@ from convexineq import (
     concentration,
     corpora,
     geometry,
+    sample_uniform,
 )
-
-
-def test_coordinate_functional():
-    F = concentration.coordinate_functional(1)
-    pts = np.array([[1.0, 2.0], [3.0, -4.0]])
-    assert np.allclose(F(pts), [2.0, -4.0])
-
-
-def test_direction_functional_normalizes():
-    F = concentration.direction_functional([3.0, 4.0])
-    assert F(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
-
-
-def test_norm_functional():
-    F = concentration.norm_functional()
-    assert F(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
+from convexineq._rng import Purpose, child_seed
 
 
 # a uniform grid over [-1/2, 1/2]: the share of points with |x| >= t is
@@ -40,8 +28,10 @@ def _fit(values):
 
 def test_profile_tail_oracle():
     fit = _fit(UNIFORM)
-    # the automatic grid reaches past the range (3 sigma > 1/2), where tails are 0
-    assert fit.t_grid.max() > 0.5
+    # 2, 2.5 and 3 sigma lie past the edge 1/2 and are dropped: every
+    # threshold is inside the range and is reached by some point
+    assert np.all(fit.t_grid <= 0.5)
+    assert np.all(fit.counts >= 1)
     assert np.allclose(fit.tails, np.maximum(1.0 - 2.0 * fit.t_grid, 0.0), rtol=0.0, atol=2.0 / M)
 
 
@@ -105,9 +95,23 @@ def test_tau1_proxy_probe_family():
     assert res.estimate.value == min(f.alpha_hat for f in res.fits)
 
 
-def test_tau1_proxy_extra_directions():
-    res = concentration.tau1_proxy(Cube(1.0, 2), m=20_000, seed=4, extra_directions=2)
-    assert len(res.fits) == 5
+@pytest.mark.parametrize("body", [Cube(1.0, 3), geometry.ball_volume_one(2)], ids=["cube3", "disk"])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_tau1_proxy_fits_the_coordinates_then_the_norm_of_its_cloud(body, seed):
+    m = 20_000
+    pts = sample_uniform(body, m, child_seed(seed, Purpose.TAU)).points
+    probes = [(np.array(pts[:, i]), f"x[{i}]") for i in range(body.dim)]
+    probes.append((np.linalg.norm(pts, axis=1), "|x|"))
+    got = concentration.tau1_proxy(body, m=m, seed=seed).fits
+    assert len(got) == len(probes)
+    for fit, (values, label) in zip(got, probes):
+        want = concentration._fit_tails(values, m, seed, label)
+        for f in dataclasses.fields(want):
+            a, b = getattr(fit, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
 
 
 def test_lemma1_trivial_pair_passes():

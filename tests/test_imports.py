@@ -3,9 +3,11 @@
 ``import convexineq`` loads none of scipy.optimize, scipy.sparse and
 scipy.integrate; the paths that need them import them on first use.  Each
 check runs in a fresh interpreter, since the test process has long loaded
-them.
+them.  Two source checks keep the modules free of imports they never use
+and of random-stream purpose codes no call site keys.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -16,9 +18,11 @@ import numpy as np
 
 import convexineq
 from convexineq import Ball, Cube, transport
+from convexineq._rng import Purpose
 from convexineq.transport import DiscreteMeasure
 
 SRC = str(Path(convexineq.__file__).resolve().parents[1])
+PACKAGE = Path(convexineq.__file__).resolve().parent
 DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.integrate")
 
 
@@ -38,6 +42,40 @@ def test_export_list_matches_the_package_names():
     # sorted, a duplicate or an unbound name in __all__ breaks the equality
     public = [k for k, v in vars(convexineq).items() if k[0] != "_" and not isinstance(v, types.ModuleType)]
     assert sorted(convexineq.__all__) == sorted(public)
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ imports to re-export
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {ident}" for ident, line in imported.items() if ident not in used]
+    assert unused == []
+
+
+def test_every_purpose_code_keys_some_call_site():
+    referenced = {
+        node.attr
+        for name, tree in _trees().items()
+        if name != "_rng.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "Purpose"
+    }
+    assert sorted(set(Purpose.__members__) - referenced) == []
 
 
 def test_import_loads_no_deferred_scipy_subpackage():
