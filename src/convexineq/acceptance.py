@@ -347,8 +347,10 @@ def criterion_4(seed: int, ts: float) -> CriterionResult:
             seed=child_seed(seed, Purpose.CRITERION_ENTROPY_MC, 2 * idx + 1),
             method="mc",
         )
-        h_mc = math.log(vB.value / vK.value)
-        se = math.hypot(vK.stderr / vK.value, vB.stderr / vB.value)
+        ratio = vB / vK
+        h_mc = math.log(ratio.value)
+        # the stderr of log r is that of r relative to r
+        se = ratio.stderr / ratio.value
         z = abs(h - h_mc) / se if se > 0 else math.inf
         ok = abs(h - h_mc) <= 3.0 * ts * se
         _judge(rows, violations, ok, (name, h, h_mc, se, z), {"pair": name, "h_closed": h, "h_mc": h_mc, "z": z})

@@ -59,7 +59,9 @@ from .estimate import Estimate
 from ._rng import Purpose, chunked, rng_for
 from .reporting import Record, canonical_hash
 
-_DET_FLOOR = 1e-12
+# an affine map counts as singular when its smallest singular value is below
+# this fraction of its largest: a test of conditioning, blind to scale
+_COND_FLOOR = 1e-12
 
 
 def unit_ball_volume(n: int) -> float:
@@ -94,9 +96,9 @@ class AffineMap(Record):
             )
         if not (np.all(np.isfinite(L)) and np.all(np.isfinite(s))):
             raise DegenerateBodyError("affine map entries must be finite")
-        det = float(np.linalg.det(L))
-        if abs(det) < _DET_FLOOR:
-            raise DegenerateBodyError(f"affine map is singular: |det| = {abs(det):.3e}")
+        sv = np.linalg.svd(L, compute_uv=False)
+        if not sv[-1] > _COND_FLOOR * sv[0]:
+            raise DegenerateBodyError(f"affine map is singular: singular values {sv[-1]:.3e} .. {sv[0]:.3e}")
         L.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "linear", L)

@@ -93,16 +93,13 @@ def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Iso
     linear = scale * whiten
     transform = AffineMap(linear, -linear @ mu)
 
-    check_cloud = sample_uniform(body, m, child_seed(seed, Purpose.ISO_VALIDATE))
+    check_seed = child_seed(seed, Purpose.ISO_VALIDATE)
+    check_cloud = sample_uniform(body, m, check_seed)
     mapped = transform.apply(check_cloud.points)
-    sq = Estimate.of_samples((mapped**2).sum(axis=1))
-    q, q_se = sq.value, sq.stderr
-    L = math.sqrt(q / n)
-    L_se_sampling = q_se / (2.0 * math.sqrt(q * n)) if q > 0 else 0.0
-    # if the volume itself was Monte Carlo, its relative error enters L
-    # through the normalizing scale at order 1/n
-    rel_v = vol_est.stderr / vol_est.value if vol_est.value else 0.0
-    L_se = math.hypot(L_se_sampling, L * rel_v / n)
+    sq = Estimate.of_samples((mapped**2).sum(axis=1), seed=check_seed)
+    # the map already holds the volume's factor vol^(-1/n); this unit factor
+    # carries a Monte Carlo volume's error into L
+    L = (sq / n).sqrt() * (vol_est / vol_est.value) ** (-1.0 / n)
     _, cov2 = covariance(replace(check_cloud, points=mapped))
     eig2 = np.linalg.eigvalsh(cov2)
     defect = float(eig2[-1] / eig2[0] - 1.0)
@@ -110,7 +107,7 @@ def isotropic_position(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Iso
         centroid=mu,
         covariance=cov,
         transform=transform,
-        L_estimate=Estimate(value=L, stderr=L_se, count=m, seed=seed),
+        L_estimate=L,
         isotropy_defect=defect,
         fit_count=m,
         body_fingerprint=geometry.fingerprint(body),
@@ -228,12 +225,7 @@ def volume_ratio(
         det = abs(map.det)
     else:
         raise SamplingError(f"unknown volume_ratio mode {mode!r}")
-    value = (vol_b.value / (det * vol_k.value)) ** (1.0 / n)
-    rel = math.hypot(
-        vol_b.stderr / vol_b.value if vol_b.value else 0.0,
-        vol_k.stderr / vol_k.value if vol_k.value else 0.0,
-    )
-    return Estimate(value=float(value), stderr=float(value * rel / n), count=m, seed=seed)
+    return ((vol_b / vol_k) / det) ** (1.0 / n)
 
 
 def _require_centered(body: Domain, m: int, seed: int) -> None:

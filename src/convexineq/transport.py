@@ -642,7 +642,7 @@ def tci_tau_records(
     if not sub_bodies:
         raise SamplingError("at least one sub-body is required")
     records = []
-    best: tuple[float, float] | None = None
+    best: Estimate | None = None
     for idx, K in enumerate(sub_bodies):
         h = relative_entropy_uniform(K, B, m=max(m, 4096), seed=child_seed(seed, Purpose.TCI_ENTROPY, idx))
         w = wasserstein_empirical(K, B, p=p, m=m, seed=child_seed(seed, Purpose.TCI_W, idx))
@@ -662,16 +662,14 @@ def tci_tau_records(
             rec["skipped"] = True
             rec["reason"] = "W estimate indistinguishable from 0 within 2 stderr"
         else:
-            bound = 2.0 * h / w.value**2
-            rel = 2.0 * w.stderr / w.value
-            rec["tau_bound"] = bound
-            rec["tau_stderr"] = bound * rel
-            if best is None or bound < best[0]:
-                best = (bound, bound * rel)
+            bound = 2.0 * h / w**2
+            rec["tau_bound"] = bound.value
+            rec["tau_stderr"] = bound.stderr
+            if best is None or bound.value < best.value:
+                best = bound
         if rec["skipped"]:
             warnings.warn(f"sub-body {idx} skipped: {rec['reason']}", stacklevel=2)
         records.append(rec)
     if best is None:
         raise SamplingError("all sub-bodies were skipped; no usable tau bound")
-    est = Estimate(value=best[0], stderr=best[1], count=m, seed=seed)
-    return est, records
+    return best, records

@@ -352,14 +352,14 @@ PINNED_REPORTS = [
         {"command": "isotropy", "params": {"m": 2000}},
         {
             "isotropy.csv": "505f5795363c65b3f1717690aaca78b32827130d88fdc90bdbfbf3ccdbf8b3f7",
-            "isotropy.json": "0fe2fbd370d1c8f7bcb9ba628cfda17091ae5b4f04730aba6d28f90439f2e424",
+            "isotropy.json": "f12d665c11aa29ad03017ccff3c4114f8c6e926f7037de2eace2c1dd5060aa3b",
         },
     ),
     (
         {"command": "tci-bound", "params": {"m": 64}},
         {
             "tci-bound.csv": "c04080dce2ef0d3b1f20d83cc150a0338a290a882ba224c4a492f6b31984b3b3",
-            "tci-bound.json": "b743a6faaad8f67ae457784f5986e565232ad471bda411b32cd217af948bf3a7",
+            "tci-bound.json": "c733368534a5feec90aed83b684634ef78d41161952b9aeb573af83cd6881c83",
         },
     ),
     (

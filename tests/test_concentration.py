@@ -120,6 +120,7 @@ def test_lemma1_trivial_pair_passes():
     assert audit.passed()
     assert audit.entropy == pytest.approx(0.0, abs=1e-12)
     assert audit.v == pytest.approx(1.0)
+    assert audit.quantities["tci_term"].value == 0.0
     names = [s.name for s in audit.steps]
     assert names == ["triangle", "entropy_vs_transport", "cauchy_schwarz", "borell_ratio", "final"]
     reported = {s.name: s.verdict for s in audit.steps}
@@ -157,6 +158,9 @@ def test_lemma1_audit_pair_quantities():
     }
     # the implied constant is of order one
     assert 0.05 <= q["c_implied"].value <= 20.0
+    # a derived quantity counts every random input behind it
+    assert q["c_implied"].count == q["L_K"].count + q["tau_proxy"].count
+    assert q["borell_ratio"].count == q["mean_norm_K"].count + 50_000
     obj = audit.to_json()
     assert obj["passed"] is True
     assert len(obj["steps"]) == 5

@@ -271,6 +271,19 @@ def test_affine_map_compose_and_inverse():
     assert np.allclose(both.apply(pts), pts, atol=1e-12)
 
 
+@pytest.mark.parametrize("linear", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))])
+def test_affine_map_rejects_a_rank_deficient_linear_part(linear):
+    with pytest.raises(DegenerateBodyError, match="singular"):
+        AffineMap(linear, np.zeros(len(linear)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_affine_map_conditioning_is_blind_to_scale(scale):
+    # |det| of these maps is 1e-300 and 1e300
+    m = AffineMap(scale * np.eye(2), np.zeros(2))
+    assert np.allclose(m.inverse().apply(m.apply([[1.0, -2.0]])), [[1.0, -2.0]])
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     a=st.floats(-2.0, 2.0),

@@ -3,8 +3,9 @@
 ``import convexineq`` loads none of scipy.optimize, scipy.sparse and
 scipy.integrate; the paths that need them import them on first use.  Each
 check runs in a fresh interpreter, since the test process has long loaded
-them.  Two source checks keep the modules free of imports they never use
-and of random-stream purpose codes no call site keys.
+them.  Source checks keep the modules free of imports they never use, of
+random-stream purpose codes no call site keys, and of error arithmetic
+outside ``Estimate``.
 """
 
 import ast
@@ -76,6 +77,17 @@ def test_every_purpose_code_keys_some_call_site():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "Purpose"
     }
     assert sorted(set(Purpose.__members__) - referenced) == []
+
+
+def test_only_estimate_propagates_errors():
+    # a derived stderr comes from Estimate's operations, not a hand-written hypot
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            ident = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if ident == "combined_stderr" or (ident == "hypot" and name != "estimate.py"):
+                found.append(f"{name}:{getattr(node, 'lineno', '?')} {ident}")
+    assert found == []
 
 
 def test_import_loads_no_deferred_scipy_subpackage():

@@ -47,6 +47,27 @@ def test_isotropic_constant_disk():
     assert est.value == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=0.01)
 
 
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_isotropic_constant_is_blind_to_the_cube_scale(n):
+    # the whitening map of a large cube has a tiny determinant
+    base = isotropy.isotropic_constant(Cube(1.0, n), m=20_000, seed=3)
+    for scale in (1e-8, 1e-3, 1e3, 1e8):
+        got = isotropy.isotropic_constant(Cube(scale, n), m=20_000, seed=3)
+        assert got.value == pytest.approx(base.value, rel=1e-12)
+        assert got.stderr == pytest.approx(base.stderr, rel=1e-12)
+
+
+def test_isotropic_constant_counts_a_monte_carlo_volume():
+    # a cube's volume is closed form, an H-polytope's a Monte Carlo estimate
+    est = isotropy.isotropic_constant(Cube(1.0, 2), m=2_000, seed=4)
+    assert est.count == 2_000 and est.seed is not None
+    hexagon = geometry.HPolytope(
+        [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)], [1.0] * 6
+    )
+    est = isotropy.isotropic_constant(hexagon, m=2_000, seed=4)
+    assert est.count == 2_000 + 100_000 and est.seed is None
+
+
 def test_isotropic_position_normalizes():
     skew = geometry.apply_affine(Cube(1.0, 2), [[3.0, 1.0], [0.0, 0.5]], [2.0, -1.0])
     report = isotropy.isotropic_position(skew, m=100_000, seed=3)

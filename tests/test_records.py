@@ -43,7 +43,6 @@ def test_of_samples_rejects_fewer_than_two(k):
 
 ONE_SAMPLE = {
     "estimate_mean_norm_p": lambda: sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 1, seed=0),
-    "mean_sq_norm": lambda: concentration._mean_sq_norm(Ball(1.0, 2), 1, 0),
     "wasserstein_empirical": lambda: transport.wasserstein_empirical(Ball(1.0, 2), Ball(1.0, 2), m=8, reps=1),
 }
 
@@ -53,6 +52,72 @@ def test_one_random_sample_has_no_stderr(call):
     # a random value from one sample is not reported with stderr 0
     with pytest.raises(SamplingError):
         call()
+
+
+# -- first-order error propagation ----------------------------------------------------------
+
+A, B = Estimate(3.0, 0.2, 10, seed=1), Estimate(-2.0, 0.5, 20, seed=2)
+
+DELTA_METHOD = {
+    "add": (lambda: A + B, 1.0, math.hypot(0.2, 0.5), 30),
+    "sub": (lambda: A - B, 5.0, math.hypot(0.2, 0.5), 30),
+    "mul": (lambda: A * B, -6.0, math.hypot(-2.0 * 0.2, 3.0 * 0.5), 30),
+    "div": (lambda: A / B, -1.5, 1.5 * math.hypot(0.2 / 3.0, 0.5 / 2.0), 30),
+    "pow": (lambda: A**3, 27.0, 3.0 * 3.0**2 * 0.2, 10),
+    "root": (lambda: A**-0.5, 3.0**-0.5, 0.5 * 3.0**-1.5 * 0.2, 10),
+    "sqrt": (lambda: A.sqrt(), math.sqrt(3.0), 0.2 / (2.0 * math.sqrt(3.0)), 10),
+}
+
+
+@pytest.mark.parametrize("op,value,stderr,count", DELTA_METHOD.values(), ids=DELTA_METHOD.keys())
+def test_operations_follow_the_delta_method(op, value, stderr, count):
+    got = op()
+    assert got.value == pytest.approx(value, rel=1e-15)
+    assert got.stderr == pytest.approx(stderr, rel=1e-14)
+    assert got.count == count
+
+
+def test_floats_are_exact_constants_on_either_side():
+    e = Estimate(4.0, 0.5, 7, seed=3)
+    cases = [
+        (2.0 * e, 8.0, 1.0),
+        (e * 2, 8.0, 1.0),
+        (e / 3, 4.0 / 3.0, 0.5 / 3.0),
+        (1 / e, 0.25, 0.5 / 16.0),
+        (e + 1.0, 5.0, 0.5),
+        (1.0 - e, -3.0, 0.5),
+        (e - 1.0, 3.0, 0.5),
+    ]
+    for got, value, stderr in cases:
+        assert isinstance(got, Estimate)
+        assert (got.value, got.count, got.seed) == (value, 7, 3)
+        assert got.stderr == pytest.approx(stderr, rel=1e-15)
+
+
+def test_a_numpy_scalar_on_the_left_defers_to_the_estimate():
+    e = Estimate(4.0, 0.5, 7, seed=3)
+    for got in (np.float64(2.0) * e, np.float64(32.0) / e, np.float64(4.0) + e, np.float64(12.0) - e):
+        assert isinstance(got, Estimate)
+        assert got.value == 8.0 and got.count == 7
+
+
+def test_inputs_are_independent():
+    # the same estimate twice counts as two independent draws
+    e = Estimate(4.0, 0.5, 7, seed=3)
+    assert (e - e).value == 0.0
+    assert (e - e).stderr == pytest.approx(math.sqrt(2.0) * 0.5, rel=1e-15)
+
+
+def test_counts_add_and_the_seed_survives_only_when_shared():
+    a, b = Estimate(1.0, 0.1, 5, seed=7), Estimate(2.0, 0.1, 6, seed=7)
+    quadrature = Estimate(2.0, 0.0, 100)
+    unseeded = Estimate(1.0, 0.1, 4)
+    other = Estimate(2.0, 0.1, 6, seed=8)
+    # a deterministic input adds its nodes but no seed
+    cases = [(a + b, 11, 7), (a * other, 11, None), (a / quadrature, 105, 7), (a - unseeded, 9, None)]
+    cases.append((quadrature * 2.0, 100, None))
+    for got, count, seed in cases:
+        assert (got.count, got.seed) == (count, seed)
 
 
 # -- record JSON ---------------------------------------------------------------------------
