@@ -91,15 +91,6 @@ def _judge(rows, violations, ok, row, violation) -> None:
         violations.append(violation)
 
 
-def _step_holds(step, ts: float) -> bool:
-    """A 1-D chain step at tolerance scale ``ts``: an inequality's slack is at
-    least -tolerance * ts, an identity's |slack| at most tolerance * ts (at
-    ts = 1, the library's own verdict)."""
-    if step.kind == "identity":
-        return abs(step.slack) <= step.tolerance * ts
-    return step.slack >= -step.tolerance * ts
-
-
 # -- corpus runners ----------------------------------------------------------
 
 
@@ -133,7 +124,7 @@ def tlsi_corpus(
     resolution: int = 24,
 ) -> RunReport:
     """tlsi_verify on the first ``count`` trigonometric functions of each
-    named domain at each exponent; a slack below -tolerance * ts is a
+    named domain at each exponent; a report that fails ``holds(ts)`` is a
     violation.  An unknown domain name raises."""
     available = corpora.domain_set()
     rows, violations = [], []
@@ -145,12 +136,12 @@ def tlsi_corpus(
             f = corpora.trig_function(dom.dim, i)
             for p in ps:
                 rep = functional.tlsi_verify(dom, f, p, grid_resolution=resolution)
-                viol = rep.slack < -rep.tolerance * ts
-                verdict = "VIOLATION" if viol else "PASS"
+                ok = rep.holds(ts)
+                verdict = "PASS" if ok else "VIOLATION"
                 rows.append(
                     (name, p, f.label, rep.lhs, rep.grad_term, rep.bdry_term, rep.slack, rep.tolerance, verdict)
                 )
-                if viol:
+                if not ok:
                     violations.append(
                         {"domain": name, "p": p, "f_id": f.label, "slack": rep.slack, "tolerance": rep.tolerance}
                     )
@@ -180,7 +171,7 @@ def brenier_corpus(ts: float, count: int = 20, ps=(1.5, 2.0, 3.0), points: int =
     """The 1-D chain audit: f = 1 at p = 2, whose slacks must match their
     analytic values within 1e-6 * ts, then the first ``count``
     trigonometric functions on ``points``-point grids at each exponent.
-    Every step is judged against its tolerance times ts."""
+    Every step is judged by its ``holds(ts)``."""
     rows, violations = [], []
 
     chain = functional.brenier_chain_check_1d(np.ones(4097), (0.0, 1.0), p=2)
@@ -194,7 +185,7 @@ def brenier_corpus(ts: float, count: int = 20, ps=(1.5, 2.0, 3.0), points: int =
         gap = abs(s.slack - analytic[s.name])
         row = ("const-1", 2.0, s.name, s.lhs, s.rhs, s.slack, s.tolerance)
         violation = {"f_id": "const-1", "p": 2.0, "step": s.name, "slack": s.slack, "gap": gap}
-        _judge(rows, violations, _step_holds(s, ts) and gap <= 1e-6 * ts, row, violation)
+        _judge(rows, violations, s.holds(ts) and gap <= 1e-6 * ts, row, violation)
 
     for i in range(count):
         f = corpora.trig_function(1, i)
@@ -204,15 +195,15 @@ def brenier_corpus(ts: float, count: int = 20, ps=(1.5, 2.0, 3.0), points: int =
             for s in chain.steps:
                 row = (f.label, p, s.name, s.lhs, s.rhs, s.slack, s.tolerance)
                 violation = {"f_id": f.label, "p": p, "step": s.name, "slack": s.slack}
-                _judge(rows, violations, _step_holds(s, ts), row, violation)
+                _judge(rows, violations, s.holds(ts), row, violation)
     header = ("f_id", "p", "step", "lhs", "rhs", "slack", "tolerance", "verdict")
     return RunReport(header, rows, violations, {"audits": 1 + count * len(ps), "violations": len(violations)})
 
 
 def lemma1_corpus(ts: float, seed: int, pair: str = "both", reps: int = 1, m: int = 1024) -> RunReport:
     """lemma1_audit on the reference pairs (``pair`` names one, or "both")
-    at seeds seed, seed + 1, ... for ``reps`` repetitions.  The triangle and
-    Cauchy-Schwarz steps are judged at 4 * ts combined stderr; with more
+    at seeds seed, seed + 1, ... for ``reps`` repetitions.  Every step is
+    judged by its ``holds(ts)``, which passes a REPORTED row; with more
     than one repetition, a spread of c_implied over them above 0.25 * ts of
     its mean is a violation too.  An unknown pair name raises."""
     pairs = corpora.audit_pairs()
@@ -230,14 +221,10 @@ def lemma1_corpus(ts: float, seed: int, pair: str = "both", reps: int = 1, m: in
             c, tau = audit.quantities["c_implied"], audit.quantities["tau_proxy"]
             c_values.append(c.value)
             for step in audit.steps:
-                verdict = step.verdict
-                if step.name in ("triangle", "cauchy_schwarz"):
-                    ok = step.lhs <= step.rhs + 4.0 * ts * step.stderr
-                    verdict = "PASS" if ok else "VIOLATION"
-                    if not ok:
-                        violations.append(
-                            {"pair": name, "rep": r, "step": step.name, "lhs": step.lhs, "rhs": step.rhs}
-                        )
+                ok = step.holds(ts)
+                if not ok:
+                    violations.append({"pair": name, "rep": r, "step": step.name, "lhs": step.lhs, "rhs": step.rhs})
+                verdict = "REPORTED" if step.verdict == "REPORTED" else "PASS" if ok else "VIOLATION"
                 rows.append((name, r, step.name, step.lhs, step.rhs, step.stderr, verdict))
             rows.append((name, r, "c_implied", c.value, tau.value, c.stderr, "REPORTED"))
         if reps > 1:

@@ -344,7 +344,7 @@ def lsi_quotient(f: TestFunction, body: Domain, resolution=64) -> Estimate:
         raise FunctionalDomainError("LSI quotient undefined: E[f^2] = 0")
     h = _xlogx(v) - (math.log(ev) + 1.0) * v
     den = float(probs @ h) + ev
-    if den <= 1e-12 * (ev + 1.0):
+    if den <= 1e-12 * ev:
         raise FunctionalDomainError("LSI quotient undefined: Ent(f^2) vanishes")
     return Estimate(value=num / den, stderr=0.0, count=count)
 
@@ -360,7 +360,7 @@ class TLSIReport(Record):
     inequality to hold at this resolution; ``tolerance`` is a refinement
     drift measured once at a fixed coarse anchor pair and rescaled by the
     rule's quadratic convergence rate, so doubling the resolution divides
-    it by exactly four.
+    it by exactly four.  ``verdict`` is ``holds()`` as PASS or VIOLATION.
     """
 
     p: float
@@ -372,7 +372,7 @@ class TLSIReport(Record):
     bdry_term: float
     slack: float
     tolerance: float
-    verdict: str
+    verdict: str = field(init=False)
     resolution: int
     interior_nodes: int
     boundary_nodes: int
@@ -380,6 +380,14 @@ class TLSIReport(Record):
     dim: int
     f_fingerprint: str
     domain_fingerprint: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", "PASS" if self.holds() else "VIOLATION")
+
+    def holds(self, ts: float = 1.0) -> bool:
+        """slack >= -tolerance * ts: the verdict at ts = 1, the bare
+        inequality at ts = 0."""
+        return self.slack >= -self.tolerance * ts
 
     def to_json(self) -> dict:
         # q is infinite at p = 1: null, with a flag saying so
@@ -518,7 +526,6 @@ def tlsi_verify(
     scale = 1.0 + abs(fine["lhs"]) + fine["grad_term"] + fine["bdry_term"]
     tolerance = (drift + 1e-4 * scale) * (16.0 / grid_resolution) ** 2 + 1e-12 * scale
     slack = fine["grad_term"] + fine["bdry_term"] - fine["lhs"]
-    verdict = "PASS" if slack >= -tolerance else "VIOLATION"
     return TLSIReport(
         p=float(p),
         q=fine["q"],
@@ -529,7 +536,6 @@ def tlsi_verify(
         bdry_term=fine["bdry_term"],
         slack=float(slack),
         tolerance=float(tolerance),
-        verdict=verdict,
         resolution=int(grid_resolution),
         interior_nodes=fine["interior_nodes"],
         boundary_nodes=fine["boundary_nodes"],
@@ -592,16 +598,29 @@ def dirichlet_lsi_constants(domain: Domain, resolution=64) -> DirichletConstants
 @dataclass(frozen=True)
 class StepRecord(Record):
     """One verified step: an inequality (slack = rhs - lhs) or an identity
-    (slack = lhs - rhs, verdict on |slack|)."""
+    (slack = lhs - rhs).  Slack and verdict are derived from the other
+    fields: the verdict is ``holds()`` as PASS or VIOLATION."""
 
     name: str
     kind: str
     lhs: float
     rhs: float
-    slack: float
+    slack: float = field(init=False)
     tolerance: float
-    verdict: str
+    verdict: str = field(init=False)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        slack = self.lhs - self.rhs if self.kind == "identity" else self.rhs - self.lhs
+        object.__setattr__(self, "slack", float(slack))
+        object.__setattr__(self, "verdict", "PASS" if self.holds() else "VIOLATION")
+
+    def holds(self, ts: float = 1.0) -> bool:
+        """An inequality's slack is at least -tolerance * ts, an identity's
+        |slack| at most tolerance * ts; at ts = 0 the bare relation."""
+        if self.kind == "identity":
+            return abs(self.slack) <= self.tolerance * ts
+        return self.slack >= -self.tolerance * ts
 
     def to_json(self) -> dict:
         # the extras sit beside the other fields
@@ -631,7 +650,7 @@ class BrenierChain1D(Record):
     grid_points: int
 
     def passed(self) -> bool:
-        return all(s.verdict == "PASS" for s in self.steps)
+        return all(s.holds() for s in self.steps)
 
     def to_json(self) -> dict:
         # a summary: the grids f_grid and transport_map are left out
@@ -757,57 +776,24 @@ def brenier_chain_check_1d(f_grid, domain, p: float = 2.0) -> BrenierChain1D:
         fh = f0[half]
     coarse = _chain_values(xh, fh, p)
 
-    def tol(*keys):
+    def tol(key):
+        keys = (key + "_lhs", key + "_rhs")
         drift = sum(abs(fine[k] - coarse[k]) for k in keys)
         scale = 1.0 + sum(abs(fine[k]) for k in keys)
-        return drift + 1e-9 * scale
-
-    steps = []
-
-    def ineq(name, lhs_key, rhs_key, extras=None):
-        t = tol(lhs_key, rhs_key)
-        lhs, rhs = fine[lhs_key], fine[rhs_key]
-        slack = rhs - lhs
-        steps.append(
-            StepRecord(
-                name=name,
-                kind="inequality",
-                lhs=lhs,
-                rhs=rhs,
-                slack=float(slack),
-                tolerance=float(t),
-                verdict="PASS" if slack >= -t else "VIOLATION",
-                extras=extras or {},
-            )
-        )
-
-    ineq("log_det_bound", "e1_lhs", "e1_rhs")
-
-    t2 = tol("e2_lhs", "e2_rhs")
-    diff = fine["e2_lhs"] - fine["e2_rhs"]
-    steps.append(
-        StepRecord(
-            name="integration_by_parts",
-            kind="identity",
-            lhs=fine["e2_lhs"],
-            rhs=fine["e2_rhs"],
-            slack=float(diff),
-            tolerance=float(t2),
-            verdict="PASS" if abs(diff) <= t2 else "VIOLATION",
-        )
-    )
-
-    ineq("boundary_bound", "e3_lhs", "e3_rhs")
+        return float(drift + 1e-9 * scale)
 
     extras = {}
     if p > 1:
-        extras = {
-            "A": fine["e4_A"],
-            "A_exact": fine["e4_A_exact"],
-            "B": fine["e4_B"],
-            "holder_mid": fine["e4_holder_mid"],
-        }
-    ineq("holder_young", "e4_lhs", "e4_rhs", extras)
+        extras = {k: fine["e4_" + k] for k in ("A", "A_exact", "B", "holder_mid")}
+    steps = tuple(
+        StepRecord(name, kind, fine[key + "_lhs"], fine[key + "_rhs"], tol(key), extras if key == "e4" else {})
+        for name, kind, key in (
+            ("log_det_bound", "inequality", "e1"),
+            ("integration_by_parts", "identity", "e2"),
+            ("boundary_bound", "inequality", "e3"),
+            ("holder_young", "inequality", "e4"),
+        )
+    )
 
     tv = _pushforward_tv(x, fine["f"], fine["T"], p, fine["R"])
     return BrenierChain1D(
@@ -817,7 +803,7 @@ def brenier_chain_check_1d(f_grid, domain, p: float = 2.0) -> BrenierChain1D:
         R=R,
         f_grid=fine["f"],
         transport_map=fine["T"],
-        steps=tuple(steps),
+        steps=steps,
         tv_error=float(tv),
         grid_points=f0.shape[0],
     )

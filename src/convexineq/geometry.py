@@ -353,7 +353,7 @@ class Ball(ConvexBody):
     def _interior_quadrature(self, resolution):
         r, n = self.radius, self.dim
         if n == 1:
-            return _interval_interior(-r, r, resolution)
+            return _box_interior(*self.bounding_box(), resolution)
         if n == 2:
             edges_r = np.linspace(0.0, r, resolution + 1)
             edges_t = np.linspace(0.0, 2 * math.pi, 2 * resolution + 1)
@@ -393,7 +393,7 @@ class Ball(ConvexBody):
     def _boundary_quadrature(self, resolution):
         r, n = self.radius, self.dim
         if n == 1:
-            return _interval_boundary(-r, r)
+            return _box_boundary(*self.bounding_box(), resolution)
         if n == 2:
             m = 4 * resolution
             theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
@@ -495,18 +495,14 @@ class Cube(ConvexBody):
             raise QuadratureUnsupportedError(
                 f"cube interior quadrature limited to n <= 3, got n = {self.dim}"
             )
-        half = self.side / 2.0
-        return _box_interior(-np.full(self.dim, half), np.full(self.dim, half), resolution)
+        return _box_interior(*self.bounding_box(), resolution)
 
     def _boundary_quadrature(self, resolution):
-        if self.dim == 1:
-            return _interval_boundary(-self.side / 2, self.side / 2)
         if self.dim > 3:
             raise QuadratureUnsupportedError(
                 f"cube boundary quadrature limited to n <= 3, got n = {self.dim}"
             )
-        lo, hi = self.bounding_box()
-        return _box_boundary(lo, hi, resolution)
+        return _box_boundary(*self.bounding_box(), resolution)
 
 
 class L1Ball(ConvexBody):
@@ -576,19 +572,18 @@ class L1Ball(ConvexBody):
         return np.array([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
 
     def _interior_quadrature(self, resolution):
-        r, n = self.radius, self.dim
-        if n == 1:
-            return _interval_interior(-r, r, resolution)
-        if n == 2:
+        if self.dim == 1:
+            return _box_interior(*self.bounding_box(), resolution)
+        if self.dim == 2:
             return _polygon_interior(self._polygon(), resolution)
         raise QuadratureUnsupportedError(
-            f"cross-polytope interior quadrature limited to n <= 2, got n = {n}"
+            f"cross-polytope interior quadrature limited to n <= 2, got n = {self.dim}"
         )
 
     def _boundary_quadrature(self, resolution):
         r, n = self.radius, self.dim
         if n == 1:
-            return _interval_boundary(-r, r)
+            return _box_boundary(*self.bounding_box(), resolution)
         if n == 2:
             return _polygon_boundary(self._polygon(), resolution)
         if n == 3:
@@ -616,9 +611,10 @@ class HPolytope(ConvexBody):
     """Bounded polyhedron {x : A x <= b} with nonempty interior.
 
     Construction solves two linear programs, both cached: a Chebyshev-center
-    program certifies a nonempty interior, and one block-diagonal program of
+    program gives the inscribed radius, and one block-diagonal program of
     2n copies of the constraints, one per coordinate and sign, gives the
-    bounding box and certifies boundedness.
+    bounding box and certifies boundedness.  The interior counts as empty
+    when the radius is at most 1e-10 of the longest box side.
     """
 
     def __init__(self, A, b):
@@ -644,6 +640,12 @@ class HPolytope(ConvexBody):
         self.dim = A.shape[1]
         self._chebyshev = self._compute_chebyshev()
         self._bbox = self._compute_bbox()
+        # relative to the longest box side, so the test is the same at any scale
+        radius = self._chebyshev[1]
+        if radius <= 1e-10 * float(np.max(self._bbox[1] - self._bbox[0])):
+            raise DegenerateBodyError(
+                f"polytope has empty interior (inscribed radius {radius:.3e})"
+            )
 
     def _compute_chebyshev(self):
         from scipy.optimize import linprog
@@ -659,12 +661,7 @@ class HPolytope(ConvexBody):
             raise UnboundedBodyError("polytope admits a recession direction")
         if not res.success:
             raise DegenerateBodyError(f"interior certificate failed: {res.message}")
-        center, radius = res.x[:n], res.x[n]
-        if radius <= 1e-10:
-            raise DegenerateBodyError(
-                f"polytope has empty interior (inscribed radius {radius:.3e})"
-            )
-        return _read_only(center), float(radius)
+        return _read_only(res.x[:n]), float(res.x[n])
 
     def _compute_bbox(self):
         from scipy.optimize import linprog
@@ -760,8 +757,7 @@ class HPolytope(ConvexBody):
 
     def _interior_quadrature(self, resolution):
         if self.dim == 1:
-            lo, hi = self.bounding_box()
-            return _interval_interior(lo[0], hi[0], resolution)
+            return _box_interior(*self.bounding_box(), resolution)
         if self.dim == 2:
             return _polygon_interior(self.vertices_2d(), resolution)
         raise QuadratureUnsupportedError(
@@ -770,8 +766,7 @@ class HPolytope(ConvexBody):
 
     def _boundary_quadrature(self, resolution):
         if self.dim == 1:
-            lo, hi = self.bounding_box()
-            return _interval_boundary(lo[0], hi[0])
+            return _box_boundary(*self.bounding_box(), resolution)
         if self.dim == 2:
             return _polygon_boundary(self.vertices_2d(), resolution)
         raise QuadratureUnsupportedError(
@@ -1058,19 +1053,6 @@ def _subtract_interval(segments, cover):
 
 
 # -- shared quadrature helpers --------------------------------------------
-
-
-def _interval_interior(a, b, resolution):
-    edges = np.linspace(a, b, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids[:, None], np.full(resolution, (b - a) / resolution)
-
-
-def _interval_boundary(a, b):
-    nodes = np.array([[a], [b]])
-    normals = np.array([[-1.0], [1.0]])
-    weights = np.ones(2)
-    return nodes, normals, weights
 
 
 def _box_interior(lo, hi, resolution):

@@ -80,9 +80,6 @@ from .reporting import Record, jsonable
 from .sampling import PointCloud, sample_uniform
 
 _EXACT_CAP = 4096
-# coordinates below this in magnitude merge on round(x / 1e-12), which stays
-# finite under it
-_KEY_LIMIT = 1e296
 # sinkhorn folds its scalings into the log potentials outside [1/max, max]
 _SCALE_MAX = math.exp(50.0)
 _SCALE_MIN = 1.0 / _SCALE_MAX
@@ -99,8 +96,9 @@ class DiscreteMeasure(Record):
     """Finitely supported probability measure.
 
     Support points and weights must be finite, and the weights must sum to
-    one within 1e-9.  Support points closer than 1e-12 are merged at
-    construction with summed weights.
+    one within 1e-9.  Equal support points (0.0 equals -0.0) are merged at
+    construction with summed weights; distinct points stay apart at any
+    scale.
     """
 
     support: np.ndarray
@@ -148,32 +146,15 @@ class DiscreteMeasure(Record):
 
 
 def _merge_duplicates(pts, w):
-    # duplicates within 1e-12: group by rounded coordinates, sum weights
-    key = _merge_key(pts)
-    # equal keys are adjacent once sorted; most supports have none, so the
+    # equal rows are adjacent once sorted; most supports have none, so the
     # costlier np.unique runs only when a duplicate is found
-    ordered = key[np.lexsort(key.T[::-1])]
+    ordered = pts[np.lexsort(pts.T[::-1])]
     if not np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         return pts, w
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
     merged_w = np.zeros(first.shape[0])
     np.add.at(merged_w, inverse, w)
     return pts[first], merged_w
-
-
-def _merge_key(pts):
-    # round(x / 1e-12) per coordinate; the keys stay floats, since an integer
-    # cast overflows past about 9.2e6, and adding 0.0 turns -0.0 into 0.0
-    if np.abs(pts).max() < _KEY_LIMIT:
-        return np.round(pts / 1e-12) + 0.0
-    # x / 1e-12 overflows from about 1.8e296 on.  Such a coordinate keys as
-    # itself (its spacing is far above 1e-12, so only equal values merge),
-    # behind a column holding its sign, which orders it past every rounded
-    # key of its sign; smaller coordinates key as above behind a 0
-    big = np.abs(pts) >= _KEY_LIMIT
-    small = np.round(np.where(big, 0.0, pts) / 1e-12) + 0.0
-    key = np.stack([np.sign(pts) * big, np.where(big, pts, small)], axis=2)
-    return key.reshape(pts.shape[0], -1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from time import perf_counter
 
 import pytest
 
-from convexineq import acceptance
+from convexineq import acceptance, functional
 
 SEED = 0
 
@@ -61,6 +61,38 @@ def test_criterion_06_tlsi_corpus(capsys):
     res = _run(capsys, acceptance.criterion_6, 6)
     # 100 functions x 4 domains x 3 exponents
     assert len(res.rows) == 1200
+
+
+def test_tlsi_corpus_at_scale_zero_flags_exactly_the_negative_slacks(monkeypatch):
+    # the corpus has no negative slack, so shift the reports' slacks by row:
+    # +tolerance, 0, -tolerance / 2 in turn
+    verify, calls = functional.tlsi_verify, []
+
+    def shifted(*args, **kwargs):
+        rep = verify(*args, **kwargs)
+        calls.append(None)
+        return replace(rep, slack=(1.0, 0.0, -0.5)[len(calls) % 3] * rep.tolerance)
+
+    monkeypatch.setattr(functional, "tlsi_verify", shifted)
+    args = (("interval", "disk"), 4, (1, 2, 3), 16)
+    for ts in (0.0, 1.0):
+        run = acceptance.tlsi_corpus(ts, *args)
+        slack, verdict = run.header.index("slack"), run.header.index("verdict")
+        negative = {row[:3] for row in run.rows if row[slack] < 0}
+        assert len(negative) == 8
+        flagged = {(v["domain"], v["p"], v["f_id"]) for v in run.violations}
+        assert flagged == (negative if ts == 0.0 else set())
+        assert {row[:3] for row in run.rows if row[verdict] == "VIOLATION"} == flagged
+
+
+def test_lemma1_corpus_never_flags_a_reported_row():
+    # borell_ratio's lhs is above its rhs = 1 by Jensen, so judging it as an
+    # inequality at scale 0 would flag it
+    run = acceptance.lemma1_corpus(0.0, 0, "l1-in-D2", m=64)
+    reported = {row[2]: row for row in run.rows if row[-1] == "REPORTED"}
+    assert {"entropy_vs_transport", "borell_ratio", "final", "c_implied"} == set(reported)
+    assert reported["borell_ratio"][3] > reported["borell_ratio"][4]
+    assert not {v["step"] for v in run.violations} & set(reported)
 
 
 def test_criterion_07_dirichlet_sharpness(capsys):

@@ -193,6 +193,22 @@ def test_lsi_quotient_near_constant_matches_rayleigh():
     assert est.value == pytest.approx(math.pi**2, rel=0.05)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-100])
+def test_lsi_quotient_is_invariant_under_scaling_f(c):
+    # an entropy guard of 1e-12 * (E f^2 + 1) called Ent(f^2) zero from c = 1e-6 on
+    def quotient(scale):
+        f = functional.trigonometric(scale, [(0.01 * scale, 0.0, (1,))], 1)
+        return functional.lsi_quotient(f, INTERVAL, ("grid", 2048)).value
+
+    assert quotient(c) == pytest.approx(quotient(1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-100])
+def test_lsi_quotient_rejects_constants(c):
+    with pytest.raises(FunctionalDomainError, match="Ent"):
+        functional.lsi_quotient(functional.polynomial([(c, (0,))], 1), INTERVAL, ("grid", 64))
+
+
 def test_min_lsi_below_min_rayleigh():
     """Linearized perturbations keep the optimal quotients ordered."""
     lsis, rays = [], []

@@ -100,6 +100,21 @@ def test_hpolytope_empty_rejected():
         HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-2.0, 1.0]))
 
 
+@pytest.mark.parametrize("half", [5e-12, 1e6])
+def test_hpolytope_tiny_and_huge_boxes_build(half):
+    # an absolute 1e-10 radius floor called the 1e-11-wide box empty
+    hp = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.full(4, half))
+    assert hp.inscribed_radius == pytest.approx(half, rel=1e-9)
+
+
+@pytest.mark.parametrize("half", [1.0, 1e3, 1e6])
+def test_hpolytope_flat_strip_rejected_at_any_scale(half):
+    # 1e-11 of the box's width thick: the absolute floor let it through from
+    # a half-width of about 20 on
+    with pytest.raises(DegenerateBodyError, match="empty interior"):
+        HPolytope(np.vstack([np.eye(2), -np.eye(2)]), half * np.array([1.0, 1e-11, 1.0, 0.0]))
+
+
 def test_hpolytope_unbounded_in_one_of_three_coordinates_rejected():
     # a unit square in (x, y) times a half-line in z
     A = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1]])
@@ -219,6 +234,17 @@ def test_boundary_quadrature_weight_is_surface_area():
     for body in (Ball(1.0, 2), Cube(1.0, 2), L1Ball(1.0, 2)):
         mesh = geometry.boundary_quadrature(body, 128)
         assert mesh.total_weight == pytest.approx(body.surface_area_closed_form(), rel=1e-6)
+
+
+@pytest.mark.parametrize("resolution", [8, 2048])
+def test_every_one_dimensional_body_has_the_interval_meshes(resolution):
+    # [-0.5, 0.5] four ways: one midpoint rule inside, the two endpoints on the boundary
+    mids = ((np.arange(resolution) + 0.5) / resolution - 0.5)[:, None]
+    for body in (Ball(0.5, 1), Cube(1.0, 1), L1Ball(0.5, 1), HPolytope([[1.0], [-1.0]], [0.5, 0.5])):
+        nodes, w = body._interior_quadrature(resolution)
+        assert np.allclose(nodes, mids, rtol=0, atol=1e-15) and np.all(w == 1.0 / resolution)
+        nodes, normals, w = body._boundary_quadrature(resolution)
+        assert nodes.tolist() == [[-0.5], [0.5]] and normals.tolist() == [[-1.0], [1.0]] and w.tolist() == [1, 1]
 
 
 def test_quadrature_resolution_floor():

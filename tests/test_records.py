@@ -131,7 +131,7 @@ def _records():
         "x[0]", np.array([0.5]), np.array([0.1]), np.array([0.1]), np.array([3]), np.array([0]), INF, NAN, 10, 0
     )
     tlsi = functional.tlsi_verify(geometry.interval(0.0, 1.0), functional.polynomial([(1.0, (0,))], 1), 1.0, 16)
-    step = functional.StepRecord("holder_young", "inequality", 1.0, INF, INF, 0.0, "PASS", {"A": NAN})
+    step = functional.StepRecord("holder_young", "inequality", 1.0, INF, 0.0, {"A": NAN})
     chain = functional.brenier_chain_check_1d(np.ones(33), (0.0, 1.0), p=1.0)
     plan = transport.CouplingPlan(np.eye(2) / 2, INF, 1, "sinkhorn", NAN, epsilon=INF)
     return [
@@ -213,8 +213,66 @@ def test_every_body_variant_writes_strict_json():
 
 
 def test_reshaped_records_keep_their_keys():
-    step = functional.StepRecord("s", "identity", 1.0, 2.0, -1.0, 0.5, "VIOLATION", {"A": 3.0})
+    step = functional.StepRecord("s", "identity", 1.0, 2.0, 0.5, {"A": 3.0})
     assert step.to_json()["A"] == 3.0 and "extras" not in step.to_json()
     big = transport.CouplingPlan(np.eye(65) / 65, 1.0, 2, "exact", 0.0).to_json()
     assert big["shape"] == [65, 65] and "plan" not in big
     assert big["plan_coo"][:2] == [[0, 0, 1 / 65], [1, 1, 1 / 65]]
+
+
+# -- verdicts ----------------------------------------------------------------------------
+
+
+def _verdict_of(rec):
+    return "PASS" if rec.holds() else "VIOLATION"
+
+
+def test_tlsi_report_verdict_is_its_own_rule():
+    rep = functional.tlsi_verify(geometry.interval(0.0, 1.0), functional.random_trig(1, 3), 2.0, 16)
+    t = rep.tolerance
+    # replace re-derives the verdict, so a record cannot keep a stale one
+    for slack, at_one, at_zero in ((t, True, True), (0.0, True, True), (-t / 2, True, False), (-2 * t, False, False)):
+        moved = dataclasses.replace(rep, slack=slack)
+        assert (moved.holds(), moved.holds(0.0)) == (at_one, at_zero)
+        assert moved.verdict == _verdict_of(moved)
+    assert "verdict" not in {f.name for f in dataclasses.fields(rep) if f.init}
+
+
+@pytest.mark.parametrize(
+    "kind,lhs,rhs,slack,at_one,at_zero",
+    [
+        ("inequality", 1.0, 1.5, 0.5, True, True),
+        ("inequality", 1.0, 0.875, -0.125, True, False),
+        ("inequality", 1.0, 0.5, -0.5, False, False),
+        ("identity", 1.0, 1.0, 0.0, True, True),
+        ("identity", 1.0, 1.125, -0.125, True, False),
+        ("identity", 1.5, 1.0, 0.5, False, False),
+    ],
+)
+def test_step_record_derives_slack_and_verdict(kind, lhs, rhs, slack, at_one, at_zero):
+    step = functional.StepRecord("s", kind, lhs, rhs, 0.25)
+    assert step.slack == slack
+    assert (step.holds(), step.holds(0.0)) == (at_one, at_zero)
+    assert step.verdict == _verdict_of(step)
+
+
+def test_brenier_chain_passes_when_every_step_holds():
+    chain = functional.brenier_chain_check_1d(np.ones(33), (0.0, 1.0), p=2.0)
+    assert chain.passed() and all(s.verdict == _verdict_of(s) for s in chain.steps)
+    broken = dataclasses.replace(chain.steps[0], rhs=chain.steps[0].lhs - 1.0)
+    assert broken.verdict == "VIOLATION"
+    assert not dataclasses.replace(chain, steps=(broken, *chain.steps[1:])).passed()
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,stderr,at_one,at_zero",
+    [(1.0, 1.5, 0.1, True, True), (1.0, 0.9, 0.05, True, False), (1.0, 0.5, 0.1, False, False)],
+)
+def test_audit_step_verdict_is_its_own_rule(lhs, rhs, stderr, at_one, at_zero):
+    step = concentration.AuditStep("s", lhs, rhs, stderr)
+    assert (step.holds(), step.holds(0.0)) == (at_one, at_zero)
+    assert step.verdict == _verdict_of(step)
+    # a verdict passed in is replaced by the row's own, unless it is REPORTED
+    assert concentration.AuditStep("s", lhs, rhs, stderr, "PASS").verdict == step.verdict
+    reported = concentration.AuditStep("s", lhs, rhs, stderr, "REPORTED")
+    assert reported.verdict == "REPORTED" and reported.holds() and reported.holds(0.0)

@@ -55,16 +55,26 @@ def test_discrete_measure_keeps_huge_distinct_points_apart(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = DiscreteMeasure.uniform(pts)
-    # the repeated huge point and the two points within 1e-12 merge
-    assert d.count == 4
-    assert d.support.tolist() == [[-1.5 * scale, scale], [1.0, 0.0], [scale, -scale], [1.5 * scale, -scale]]
-    assert d.weights.tolist() == pytest.approx([1 / 6, 1 / 3, 1 / 3, 1 / 6])
+    # only the repeated huge point merges; the two points 5e-13 apart stay
+    assert d.count == 5
+    assert d.support.tolist() == [
+        [-1.5 * scale, scale], [1.0, 0.0], [1.0, 5e-13], [scale, -scale], [1.5 * scale, -scale]
+    ]
+    assert d.weights.tolist() == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 3, 1 / 6])
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-200, 1e-300])
+def test_discrete_measure_keeps_tiny_distinct_points_apart(scale):
+    # an absolute 1e-12 merge key made these one atom of weight 1
+    pts = scale * np.random.default_rng(7).normal(size=(7, 2))
+    d = DiscreteMeasure.uniform(pts)
+    assert d.count == 7
+    assert d.support.tobytes() == pts.tobytes()
 
 
 def _merge_with_unique(pts, w):
     # the merge as np.unique alone computes it, without the sorted pre-check
-    key = np.round(pts / 1e-12) + 0.0
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
     if first.shape[0] == pts.shape[0]:
         return pts, w
     merged_w = np.zeros(first.shape[0])
@@ -77,7 +87,7 @@ def _merge_cases():
     base = g.normal(size=(1024, 2))
     yield "distinct", base
     yield "exact", np.vstack([base[:5], base[3:4], base[:1]])
-    # within 1e-12 of each other, on one side of a rounding edge or across it
+    # within 1e-12 of each other but not equal: none merges
     yield "near", np.vstack([base[:6], base[2:3] + 3e-13, base[4:5] - 4e-13, base[5:6] + 8e-13])
     yield "signed-zero", np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
     yield "huge", np.array([[9.2e6, 1.0], [9.2e6 + 1e-6, 1.0], [9.2e6, 1.0], [1e290, -1e290],
@@ -92,7 +102,7 @@ def test_merge_duplicates_equals_the_unique_merge(name, pts):
     got_pts, got_w = transport._merge_duplicates(pts.copy(), w.copy())
     want_pts, want_w = _merge_with_unique(pts.copy(), w.copy())
     assert got_pts.tobytes() == want_pts.tobytes() and got_w.tobytes() == want_w.tobytes()
-    assert (got_pts.shape[0] < pts.shape[0]) == (name not in ("distinct", "one-point"))
+    assert (got_pts.shape[0] < pts.shape[0]) == (name not in ("distinct", "near", "one-point"))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-13, -9e-13, 1e-12, 1.1e-12, -2e-12, 1e-9])
