@@ -114,6 +114,8 @@ class TestFunction(Record):
     label: str = ""
 
     def __post_init__(self):
+        if self.kind not in ("polynomial", "trigonometric", "radial"):
+            raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
         object.__setattr__(self, "params", _frozen(self.params))
 
     def _pts(self, x) -> np.ndarray:
@@ -135,10 +137,8 @@ class TestFunction(Record):
             return out
         if self.kind == "trigonometric":
             return self._trig(pts, value=True, gradient=False)[0]
-        if self.kind == "radial":
-            t = (pts**2).sum(axis=1)
-            return np.polynomial.polynomial.polyval(t, np.asarray(self.params["coeffs"]))
-        raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
+        t = (pts**2).sum(axis=1)  # radial
+        return np.polynomial.polynomial.polyval(t, np.asarray(self.params["coeffs"]))
 
     def gradient(self, x) -> np.ndarray:
         pts = self._pts(x)
@@ -155,13 +155,11 @@ class TestFunction(Record):
             return out
         if self.kind == "trigonometric":
             return self._trig(pts, value=False, gradient=True)[1]
-        if self.kind == "radial":
-            t = (pts**2).sum(axis=1)
-            deriv = np.polynomial.polynomial.polyval(
-                t, np.polynomial.polynomial.polyder(np.asarray(self.params["coeffs"]))
-            )
-            return 2.0 * deriv[:, None] * pts
-        raise FunctionalDomainError(f"unknown test function kind {self.kind!r}")
+        t = (pts**2).sum(axis=1)  # radial
+        deriv = np.polynomial.polynomial.polyval(
+            t, np.polynomial.polynomial.polyder(np.asarray(self.params["coeffs"]))
+        )
+        return 2.0 * deriv[:, None] * pts
 
     def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(value(x), gradient(x)), bit for bit; the trigonometric kind takes

@@ -27,7 +27,14 @@ Conventions used throughout:
   module branches on the kind of body: beside membership, support and
   quadrature, the hooks ``_direct_sampler``, ``_support_norm`` and
   ``_exact_center`` (None where the variant has no closed form) and a
-  convex body's hit-and-run ``_chord``.
+  convex body's hit-and-run ``_chord``.  Ball, cube and cross-polytope are
+  the balls {x : |x|_q <= r} of q = 2, inf and 1, and one private base
+  holds their membership, support, bounding box and centre; each class
+  keeps only its closed forms.
+* Tolerances on lengths are fractions of the body's longest bounding-box
+  side, so a dilated body is refused, meshed and measured like the
+  original at any scale; an H-polytope's linear programs solve on b over
+  a power of two for the same reason.
 
 Serialization is canonical JSON; a body's fingerprint is the SHA-256 of that
 form, computed once per body object, and is used to tie sampled point clouds
@@ -229,6 +236,14 @@ class _Region:
         """The barycentre when it is known without sampling, else None."""
         return None
 
+    @functools.cached_property
+    def _extent(self) -> float:
+        """The longest side of the bounding box: the length that the
+        tolerances on lengths are measured against, so a dilated body is
+        treated as the original one."""
+        lo, hi = self.bounding_box()
+        return float(np.max(hi - lo))
+
 
 class ConvexBody(_Region):
     """Base class for the convex body variants."""
@@ -287,27 +302,53 @@ def _check_point_shape(body, points) -> np.ndarray:
     return pts
 
 
-class Ball(ConvexBody):
-    """Euclidean ball of given radius centered at the origin."""
+class _NormBall(ConvexBody):
+    """The ball {x : |x|_q <= r} of an l^q norm, centred at the origin.
+
+    Membership, the support function r |u|_q* (q* the dual exponent), the
+    bounding box [-r, r]^n and the centre are one rule for every q.  A
+    subclass sets ``_q`` and ``_dual`` ("1", "2" or "inf", as ``float``
+    reads them and ``_support_norm`` reports the dual), ``_what`` (its size
+    in error messages) and its closed forms.  ``_r`` is r: the radius of
+    Ball and L1Ball, half the side of Cube.
+    """
 
     def __init__(self, radius: float, dim: int):
+        self._r = self.radius = self._checked(radius, dim)
+
+    def _checked(self, size: float, dim: int) -> float:
+        """Set dim and return size as a float, refusing a degenerate either."""
         if dim < 1:
             raise DegenerateBodyError(f"dimension must be >= 1, got {dim}")
-        if not (radius > 0 and math.isfinite(radius)):
-            raise DegenerateBodyError(f"ball radius must be positive and finite, got {radius}")
-        self.radius = float(radius)
+        if not (size > 0 and math.isfinite(size)):
+            raise DegenerateBodyError(f"{self._what} must be positive and finite, got {size}")
         self.dim = int(dim)
+        return float(size)
 
     def contains_many(self, points, tol=0.0):
         pts = _check_point_shape(self, points)
-        return np.linalg.norm(pts, axis=1) <= self.radius * (1.0 + tol)
+        return np.linalg.norm(pts, float(self._q), axis=1) <= self._r * (1.0 + tol)
 
     def support(self, u):
-        return self.radius * float(np.linalg.norm(u))
+        return self._r * float(np.linalg.norm(u, float(self._dual)))
 
     def bounding_box(self):
-        r = np.full(self.dim, self.radius)
+        r = np.full(self.dim, self._r)
         return -r, r
+
+    def interior_point(self):
+        return np.zeros(self.dim)
+
+    _exact_center = interior_point
+
+    def _support_norm(self):
+        return self._dual, self._r
+
+
+class Ball(_NormBall):
+    """Euclidean ball of given radius centered at the origin."""
+
+    _q, _dual, _what = "2", "2", "ball radius"
 
     def volume_closed_form(self):
         return unit_ball_volume(self.dim) * self.radius**self.dim
@@ -316,9 +357,6 @@ class Ball(ConvexBody):
         if self.dim == 1:
             return 2.0
         return unit_sphere_area(self.dim) * self.radius ** (self.dim - 1)
-
-    def interior_point(self):
-        return np.zeros(self.dim)
 
     def to_json(self):
         return {"variant": "ball", "dim": self.dim, "radius": self.radius}
@@ -334,12 +372,6 @@ class Ball(ConvexBody):
             return r * z * u[:, None]
 
         return make
-
-    def _support_norm(self):
-        return "2", self.radius
-
-    def _exact_center(self):
-        return np.zeros(self.dim)
 
     def _chord(self, x, d, diam):
         # |x + t d| = r with |d| = 1
@@ -429,28 +461,14 @@ class Ball(ConvexBody):
         return nodes, normals, weights
 
 
-class Cube(ConvexBody):
-    """Axis-aligned cube [-side/2, side/2]^n."""
+class Cube(_NormBall):
+    """Axis-aligned cube [-side/2, side/2]^n, the l^inf ball of radius side/2."""
+
+    _q, _dual, _what = "inf", "1", "cube side"
 
     def __init__(self, side: float, dim: int):
-        if dim < 1:
-            raise DegenerateBodyError(f"dimension must be >= 1, got {dim}")
-        if not (side > 0 and math.isfinite(side)):
-            raise DegenerateBodyError(f"cube side must be positive and finite, got {side}")
-        self.side = float(side)
-        self.dim = int(dim)
-
-    def contains_many(self, points, tol=0.0):
-        pts = _check_point_shape(self, points)
-        half = self.side / 2.0
-        return np.all(np.abs(pts) <= half * (1.0 + tol), axis=1)
-
-    def support(self, u):
-        return 0.5 * self.side * float(np.abs(np.asarray(u, float)).sum())
-
-    def bounding_box(self):
-        h = np.full(self.dim, self.side / 2.0)
-        return -h, h
+        self.side = self._checked(side, dim)
+        self._r = self.side / 2.0
 
     def volume_closed_form(self):
         return self.side**self.dim
@@ -459,9 +477,6 @@ class Cube(ConvexBody):
         if self.dim == 1:
             return 2.0
         return 2 * self.dim * self.side ** (self.dim - 1)
-
-    def interior_point(self):
-        return np.zeros(self.dim)
 
     def to_json(self):
         return {"variant": "cube", "dim": self.dim, "side": self.side}
@@ -475,14 +490,8 @@ class Cube(ConvexBody):
 
         return make
 
-    def _support_norm(self):
-        return "1", self.side / 2.0
-
-    def _exact_center(self):
-        return np.zeros(self.dim)
-
     def _chord(self, x, d, diam):
-        half = self.side / 2.0
+        half = self._r
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (-half - x) / d
             t2 = (half - x) / d
@@ -505,29 +514,10 @@ class Cube(ConvexBody):
         return _box_boundary(*self.bounding_box(), resolution)
 
 
-class L1Ball(ConvexBody):
+class L1Ball(_NormBall):
     """Cross-polytope {x : sum |x_i| <= radius}."""
 
-    def __init__(self, radius: float, dim: int):
-        if dim < 1:
-            raise DegenerateBodyError(f"dimension must be >= 1, got {dim}")
-        if not (radius > 0 and math.isfinite(radius)):
-            raise DegenerateBodyError(
-                f"cross-polytope radius must be positive and finite, got {radius}"
-            )
-        self.radius = float(radius)
-        self.dim = int(dim)
-
-    def contains_many(self, points, tol=0.0):
-        pts = _check_point_shape(self, points)
-        return np.abs(pts).sum(axis=1) <= self.radius * (1.0 + tol)
-
-    def support(self, u):
-        return self.radius * float(np.max(np.abs(np.asarray(u, float))))
-
-    def bounding_box(self):
-        r = np.full(self.dim, self.radius)
-        return -r, r
+    _q, _dual, _what = "1", "inf", "cross-polytope radius"
 
     def volume_closed_form(self):
         # 2^n r^n / n!
@@ -540,9 +530,6 @@ class L1Ball(ConvexBody):
         # 2^n facets, each a regular simplex with vertices r e_i, area
         # sqrt(n) r^(n-1) / (n-1)!
         return 2**n * math.sqrt(n) * r ** (n - 1) / math.factorial(n - 1)
-
-    def interior_point(self):
-        return np.zeros(self.dim)
 
     def to_json(self):
         return {"variant": "l1ball", "dim": self.dim, "radius": self.radius}
@@ -560,12 +547,6 @@ class L1Ball(ConvexBody):
             return r * x * signs
 
         return make
-
-    def _support_norm(self):
-        return "inf", self.radius
-
-    def _exact_center(self):
-        return np.zeros(self.dim)
 
     def _polygon(self):
         r = self.radius
@@ -613,8 +594,11 @@ class HPolytope(ConvexBody):
     Construction solves two linear programs, both cached: a Chebyshev-center
     program gives the inscribed radius, and one block-diagonal program of
     2n copies of the constraints, one per coordinate and sign, gives the
-    bounding box and certifies boundedness.  The interior counts as empty
-    when the radius is at most 1e-10 of the longest box side.
+    bounding box and certifies boundedness.  Both solve on b / s, for s the
+    power of two nearest max |b|, and multiply the solution back by s; both
+    steps are exact in binary, and the solver's absolute tolerances then act
+    at the body's own scale.  The interior counts as empty when the radius
+    is at most 1e-10 of the longest box side.
     """
 
     def __init__(self, A, b):
@@ -638,16 +622,17 @@ class HPolytope(ConvexBody):
         self.A.setflags(write=False)
         self.b.setflags(write=False)
         self.dim = A.shape[1]
-        self._chebyshev = self._compute_chebyshev()
-        self._bbox = self._compute_bbox()
-        # relative to the longest box side, so the test is the same at any scale
+        top = float(np.max(np.abs(self.b)))
+        scale = 2.0 ** min(round(math.log2(top)), 1023) if top > 0 else 1.0
+        self._chebyshev = self._compute_chebyshev(scale)
+        self._bbox = self._compute_bbox(scale)
         radius = self._chebyshev[1]
-        if radius <= 1e-10 * float(np.max(self._bbox[1] - self._bbox[0])):
+        if radius <= 1e-10 * self._extent:
             raise DegenerateBodyError(
                 f"polytope has empty interior (inscribed radius {radius:.3e})"
             )
 
-    def _compute_chebyshev(self):
+    def _compute_chebyshev(self, scale):
         from scipy.optimize import linprog
 
         n = self.dim
@@ -655,15 +640,16 @@ class HPolytope(ConvexBody):
         c = np.zeros(n + 1)
         c[-1] = -1.0
         A_ub = np.hstack([self.A, np.ones((self.A.shape[0], 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=self.b, bounds=[(None, None)] * n + [(0, None)],
-                      method="highs")
+        res = linprog(c, A_ub=A_ub, b_ub=self.b / scale,
+                      bounds=[(None, None)] * n + [(0, None)], method="highs")
         if res.status == 3:
             raise UnboundedBodyError("polytope admits a recession direction")
         if not res.success:
             raise DegenerateBodyError(f"interior certificate failed: {res.message}")
-        return _read_only(res.x[:n]), float(res.x[n])
+        x = res.x * scale
+        return _read_only(x[:n]), float(x[n])
 
-    def _compute_bbox(self):
+    def _compute_bbox(self, scale):
         from scipy.optimize import linprog
         from scipy.sparse import block_diag
 
@@ -676,12 +662,12 @@ class HPolytope(ConvexBody):
         c[2 * idx, idx] = -1.0
         c[2 * idx + 1, idx] = 1.0
         res = linprog(c.ravel(), A_ub=block_diag([self.A] * (2 * n), format="csr"),
-                      b_ub=np.tile(self.b, 2 * n), bounds=(None, None), method="highs")
+                      b_ub=np.tile(self.b / scale, 2 * n), bounds=(None, None), method="highs")
         if res.status == 3:
             raise UnboundedBodyError("polytope is unbounded along a coordinate axis")
         if not res.success:
             raise DegenerateBodyError(f"support program failed: {res.message}")
-        X = res.x.reshape(2 * n, n)
+        X = res.x.reshape(2 * n, n) * scale
         return _read_only(X[2 * idx + 1, idx]), _read_only(X[2 * idx, idx])
 
     @property
@@ -731,6 +717,7 @@ class HPolytope(ConvexBody):
         if self.dim != 2:
             raise QuadratureUnsupportedError("vertex enumeration implemented for n = 2 only")
         m = self.A.shape[0]
+        tol = 1e-9 * self._extent
         pts = []
         for i in range(m):
             for j in range(i + 1, m):
@@ -738,10 +725,8 @@ class HPolytope(ConvexBody):
                 if abs(np.linalg.det(M)) < 1e-12:
                     continue
                 v = np.linalg.solve(M, self.b[[i, j]])
-                if np.all(self.A @ v <= self.b + 1e-9 * (1.0 + np.abs(self.b))):
+                if np.all(self.A @ v <= self.b + tol):
                     pts.append(v)
-        if len(pts) < 3:
-            raise DegenerateBodyError("planar polytope has fewer than 3 vertices")
         pts = np.array(pts)
         center = pts.mean(axis=0)
         ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
@@ -749,10 +734,12 @@ class HPolytope(ConvexBody):
         pts = pts[order]
         keep = [0]
         for k in range(1, len(pts)):
-            if np.linalg.norm(pts[k] - pts[keep[-1]]) > 1e-9:
+            if np.linalg.norm(pts[k] - pts[keep[-1]]) > tol:
                 keep.append(k)
-        if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-9 and len(keep) > 1:
+        if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= tol and len(keep) > 1:
             keep.pop()
+        if len(keep) < 3:
+            raise DegenerateBodyError("planar polytope has fewer than 3 vertices")
         return pts[keep]
 
     def _interior_quadrature(self, resolution):
@@ -906,15 +893,15 @@ class RectUnion(_Region):
             parsed.append((lo, hi))
         if not parsed:
             raise DegenerateBodyError("rect union needs at least one rectangle")
+        self.rects = tuple(parsed)
         for i in range(len(parsed)):
             for j in range(i + 1, len(parsed)):
                 (lo1, hi1), (lo2, hi2) = parsed[i], parsed[j]
                 overlap = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
-                if np.all(overlap > 1e-12):
+                if np.all(overlap > 1e-12 * self._extent):
                     raise DegenerateBodyError(
                         f"rectangles {i} and {j} have overlapping interiors"
                     )
-        self.rects = tuple(parsed)
 
     def contains_many(self, points, tol=0.0):
         pts = _check_point_shape(self, points)
@@ -987,11 +974,11 @@ class RectUnion(_Region):
                 continue
             # neighbor must sit on the outward side with a face on this line
             facing = lo2[axis] if sign > 0 else hi2[axis]
-            if abs(facing - coord) > 1e-12:
+            if abs(facing - coord) > 1e-12 * self._extent:
                 continue
             cover = (float(lo2[other_axis]), float(hi2[other_axis]))
             segments = _subtract_interval(segments, cover)
-        return [(a, b) for a, b in segments if b - a > 1e-12]
+        return [(a, b) for a, b in segments if b - a > 1e-12 * self._extent]
 
     def _interior_quadrature(self, resolution):
         nodes_all, weights_all = [], []
@@ -1156,8 +1143,6 @@ def _polygon_boundary(vertices, resolution):
         v0, v1 = vertices[k], vertices[(k + 1) % m]
         edge = v1 - v0
         length = float(np.linalg.norm(edge))
-        if length <= 1e-14:
-            continue
         # outward normal of a counterclockwise polygon edge
         nrm = np.array([edge[1], -edge[0]]) / length
         ts = (np.arange(resolution) + 0.5) / resolution

@@ -262,27 +262,14 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> CouplingPl
     its masses times their entries of C; at p = 1 it too may be another
     optimum than a linear program would return.  Pairs in dimension two and
     up that are not assignments solve the transportation linear program.
-    All three routes report ``solver="exact"``.  Instances larger than
-    4096 x 4096 fall back to entropic regularization with a warning, and
-    with a second one if that iteration stops unconverged.
+    All three routes report ``solver="exact"``.  An instance with more than
+    4096 points on either side raises ``SolverError`` before its cost matrix
+    is built, so no instance needs more memory than the cap allows.
     """
-    C = cost_matrix(mu, nu, p)
-    k1, k2 = C.shape
+    k1, k2 = mu.count, nu.count
     if k1 > _EXACT_CAP or k2 > _EXACT_CAP:
-        warnings.warn(
-            f"instance {k1}x{k2} exceeds the exact solver cap {_EXACT_CAP}; "
-            "falling back to sinkhorn",
-            stacklevel=2,
-        )
-        med = float(np.median(C[C > 0])) if np.any(C > 0) else 1.0
-        plan = sinkhorn(mu, nu, p, epsilon=1e-3 * med)
-        if not plan.converged:
-            warnings.warn(
-                f"sinkhorn fallback did not converge in {plan.iterations} iterations "
-                f"(marginal defect {plan.marginal_defect:.3g}); its cost is approximate",
-                stacklevel=2,
-            )
-        return plan
+        raise SolverError(f"instance {k1}x{k2} exceeds the exact solver cap {_EXACT_CAP}")
+    C = cost_matrix(mu, nu, p)
     a, b = mu.weights, nu.weights
     if k1 == k2 and mu.is_uniform() and nu.is_uniform():
         # solved on the column-reduced matrix, priced on C (module docstring)

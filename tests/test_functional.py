@@ -49,6 +49,12 @@ def test_radial_gradient_points_outward():
     assert np.allclose(f.gradient(pts), 2.0 * pts)
 
 
+def test_unknown_kind_is_refused_at_construction():
+    # not first when the function is evaluated, after it was fingerprinted
+    with pytest.raises(FunctionalDomainError, match="unknown test function kind 'bogus'"):
+        functional.TestFunction("bogus", 1, {})
+
+
 def test_dimension_mismatch_detected():
     f = functional.linear([1.0, 1.0])
     with pytest.raises(DimensionMismatchError):

@@ -115,6 +115,15 @@ def test_hpolytope_flat_strip_rejected_at_any_scale(half):
         HPolytope(np.vstack([np.eye(2), -np.eye(2)]), half * np.array([1.0, 1e-11, 1.0, 0.0]))
 
 
+def test_hpolytope_programs_solve_at_the_body_scale():
+    # HiGHS's absolute tolerances built this 5e-23-thick strip with its centre
+    # outside it; solved on b over a power of two, it is refused at any scale
+    with pytest.raises(DegenerateBodyError, match="empty interior"):
+        HPolytope(np.vstack([np.eye(2), -np.eye(2)]), 5e-12 * np.array([1.0, 1e-11, 1.0, 0.0]))
+    box = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 5e-12))
+    assert np.all(box.chebyshev_center == 0.0) and box.inscribed_radius == 5e-12
+
+
 def test_hpolytope_unbounded_in_one_of_three_coordinates_rejected():
     # a unit square in (x, y) times a half-line in z
     A = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1]])
@@ -222,6 +231,30 @@ def test_lshape_volume_and_quadrature():
 def test_lshape_boundary_weight_is_perimeter():
     mesh = geometry.boundary_quadrature(LSHAPE, 64)
     assert mesh.total_weight == pytest.approx(8.0, rel=1e-12)
+
+
+# x + y <= 1, x >= 0, y >= 0, x - 2y <= 1/2: vertices (0, 0), (1/2, 0),
+# (5/6, 1/6) and (0, 1), area 11/24
+QUAD_A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -2.0]])
+QUAD_B = np.array([1.0, 0.0, 0.0, 0.5])
+QUAD_PERIMETER = 0.5 + math.sqrt(5.0) / 6.0 + 5.0 * math.sqrt(2.0) / 6.0 + 1.0
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-10, 1e-8, 1.0, 1e8])
+def test_planar_measures_scale_with_the_body(lam):
+    # length tolerances are relative to the body, so a dilation by lam scales
+    # every length by lam and every area by lam^2, at any lam
+    lshape = RectUnion([(lam * lo, lam * hi) for lo, hi in LSHAPE.rects])
+    assert lshape.volume_closed_form() == pytest.approx(3.0 * lam**2, rel=1e-12)
+    assert lshape.surface_area_closed_form() == pytest.approx(8.0 * lam, rel=1e-12)
+    assert geometry.boundary_quadrature(lshape, 8).total_weight == pytest.approx(8.0 * lam, rel=1e-12)
+    quad = HPolytope(QUAD_A, lam * QUAD_B)
+    _, weights = geometry.interior_quadrature(quad, 8)
+    assert weights.sum() == pytest.approx(11.0 / 24.0 * lam**2, rel=1e-12)
+    boundary = geometry.boundary_quadrature(quad, 8).total_weight
+    assert boundary == pytest.approx(QUAD_PERIMETER * lam, rel=1e-12)
+    with pytest.raises(DegenerateBodyError, match="overlapping"):
+        RectUnion((((0.0, 0.0), (lam, lam)), ((lam / 2, lam / 2), (1.5 * lam, 1.5 * lam))))
 
 
 def test_interior_quadrature_weight_sums_converge():

@@ -408,34 +408,18 @@ def test_permutation_oracle_equals_the_uncached_table_on_the_ot_corpus():
         assert plan.cost == cost
 
 
-def test_exact_cap_falls_back_to_sinkhorn(monkeypatch):
+def test_exact_cap_is_a_hard_limit(monkeypatch):
+    # refused before the cost matrix is built, so memory stays within the cap
     monkeypatch.setattr(transport, "_EXACT_CAP", 8)
+
+    def no_cost_matrix(*args):
+        raise AssertionError("cost_matrix called over the cap")
+
+    monkeypatch.setattr(transport, "cost_matrix", no_cost_matrix)
     rng = np.random.default_rng(5)
     mu, nu = _uniform(rng, 9), _uniform(rng, 9)
-    with pytest.warns(UserWarning, match="exceeds the exact solver cap"):
-        plan = transport.exact_ot(mu, nu, 2)
-    assert plan.solver == "sinkhorn"
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_exact_cap_fallback_warns_when_sinkhorn_stops_unconverged(monkeypatch, p):
-    # one far outlier on each side: at the fallback's epsilon the iteration
-    # reaches max_iters before its stopping test holds
-    monkeypatch.setattr(transport, "_EXACT_CAP", 8)
-    rng = np.random.default_rng(1)
-    x, y = rng.random((2, 20, 2))
-    x[0], y[0] = (300.0, 0.0), (0.0, 300.0)
-    mu, nu = DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        plan = transport.exact_ot(mu, nu, p)
-    assert plan.solver == "sinkhorn" and not plan.converged
-    messages = [str(w.message) for w in caught]
-    assert any("exceeds the exact solver cap" in m for m in messages)
-    unconverged = [m for m in messages if "did not converge" in m]
-    assert len(unconverged) == 1
-    assert f"{plan.iterations} iterations" in unconverged[0]
-    assert f"marginal defect {plan.marginal_defect:.3g}" in unconverged[0]
+    with pytest.raises(SolverError, match="exceeds the exact solver cap 8"):
+        transport.exact_ot(mu, nu, 2)
 
 
 def test_sinkhorn_error_decreases_with_epsilon():
