@@ -680,7 +680,7 @@ class HPolytope(ConvexBody):
 
     def contains_many(self, points, tol=0.0):
         pts = _check_point_shape(self, points)
-        scale = 1.0 + np.abs(self.b)
+        scale = self._extent + np.abs(self.b)
         return np.all(pts @ self.A.T <= self.b + tol * scale, axis=1)
 
     def support(self, u):
@@ -703,9 +703,29 @@ class HPolytope(ConvexBody):
         return {"variant": "hpolytope", "dim": self.dim, "A": self.A.tolist(), "b": self.b.tolist()}
 
     def _chord(self, x, d, diam):
-        # row i bounds t above where <a_i, d> > 0 and below where it is < 0
-        num = self.b[None, :] - x @ self.A.T
+        # row i bounds t above where <a_i, d> > 0 and below where it is < 0,
+        # at t_i = num_i / den_i
+        num = self.b - x @ self.A.T
         den = d @ self.A.T
+        if num.min() > 0.0:
+            # Strictly inside, t_i has the sign of den_i, and among positive
+            # t the smallest belongs to the largest r_i = den_i / num_i (among
+            # negative t, the largest to the smallest r_i).  Correctly rounded
+            # division is monotone: fl(r_i) > fl(r_j) implies r_i > r_j
+            # exactly, hence fl(t_i) <= fl(t_j).  So t on the argmax (argmin)
+            # row of r is the float the masked min (max) below returns, unless
+            # two rows' r round to the same float and their t do not.
+            with np.errstate(over="ignore"):
+                r = den / num
+            offset = np.arange(0, r.size, r.shape[1])
+            up = r.argmax(axis=1) + offset
+            down = r.argmin(axis=1) + offset
+            den_up, den_down = den.take(up), den.take(down)
+            if den_up.min() > 1e-300 and den_down.max() < -1e-300:
+                return num.take(down) / den_down, num.take(up) / den_up
+        # the masked rule: for a point on a facet or a rounding error outside
+        # it (a slack <= 0), or where a binding row is within 1e-300 of
+        # parallel to d, which the mask skips
         with np.errstate(divide="ignore", invalid="ignore"):
             t = num / den
         hi = np.where(den > 1e-300, t, np.inf).min(axis=1)
@@ -907,7 +927,7 @@ class RectUnion(_Region):
         pts = _check_point_shape(self, points)
         out = np.zeros(pts.shape[0], dtype=bool)
         for lo, hi in self.rects:
-            pad = tol * (1.0 + np.abs(hi - lo))
+            pad = tol * (self._extent + np.abs(hi - lo))
             out |= np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1)
         return out
 

@@ -17,6 +17,7 @@ from convexineq import (
     SamplingError,
     UnboundedBodyError,
     geometry,
+    sampling,
 )
 
 LSHAPE = RectUnion((((0.0, 0.0), (2.0, 1.0)), ((0.0, 1.0), (1.0, 2.0))))
@@ -214,6 +215,64 @@ def test_hpolytope_bounding_box_matches_support_programs(n):
     np.testing.assert_allclose(hi, want_hi, rtol=0.0, atol=1e-12)
 
 
+def _masked_chord(P, x, d):
+    # the chord rule that HPolytope._chord must reproduce bit for bit: the
+    # nearest row ahead of and behind each point, by masking every row's t
+    num = P.b[None, :] - x @ P.A.T
+    den = d @ P.A.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    hi = np.where(den > 1e-300, t, np.inf).min(axis=1)
+    lo = np.where(den < -1e-300, t, -np.inf).max(axis=1)
+    return lo, hi
+
+
+def _assert_chord_is_masked_chord(P, x, seed):
+    d = np.random.default_rng(seed).standard_normal(x.shape)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    # the batch, then each point alone: one point off the interior sends its
+    # whole batch to the masked rule
+    for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(x))]:
+        lo, hi = P._chord(x[rows], d[rows], 1.0)
+        want_lo, want_hi = _masked_chord(P, x[rows], d[rows])
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("shape", ["cube", "cross", "random"])
+def test_hpolytope_chord_is_the_masked_chord_on_the_benchmark_shapes(shape, n):
+    rows = {"cube": _cube_rows, "cross": _cross_rows, "random": lambda n: _random_rows(n, 0)}[shape](n)
+    P = HPolytope(*rows)
+    x = sampling.sample_uniform(P, 64, seed=n).points
+    assert np.all(P.b - x @ P.A.T > 0.0)  # strictly inside: the binding-row path
+    _assert_chord_is_masked_chord(P, x, n)
+
+
+@pytest.mark.parametrize(
+    "edge", [0.5, np.nextafter(0.5, 1.0), 0.9], ids=["on-facet", "one-ulp-outside", "outside"]
+)
+def test_hpolytope_chord_falls_back_off_the_interior(edge):
+    # a zero or negative slack breaks the order of den / num that the
+    # binding-row path reads, so the masked rule answers for such points
+    P = HPolytope(*_cube_rows(3))
+    x = sampling.sample_uniform(P, 64, seed=8).points.copy()
+    x[::2, 0] = edge
+    assert (P.b - x @ P.A.T).min() == 0.5 - edge
+    _assert_chord_is_masked_chord(P, x, 9)
+
+
+def test_hpolytope_chord_skips_a_row_within_1e_300_of_parallel():
+    # x lies 1e-306 inside the facet -x <= 0 and d = (-1e-305, 1) runs along
+    # it: that row has the largest ratio den / num (10), but the masked rule
+    # counts no row with |den| <= 1e-300, so the chord ends on x + y <= 1
+    P = HPolytope(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0]))
+    x, d = np.array([[1e-306, 0.01]]), np.array([[-1e-305, 1.0]])
+    lo, hi = P._chord(x, d, 1.0)
+    want_lo, want_hi = _masked_chord(P, x, d)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert hi[0] == pytest.approx(0.99)
+
+
 def test_affine_image_volume_scales_by_determinant():
     img = geometry.apply_affine(Ball(1.0, 2), np.diag([2.0, 1.0]))
     v = geometry.volume_with_error(img, mc_samples=200_000, seed=7)
@@ -255,6 +314,27 @@ def test_planar_measures_scale_with_the_body(lam):
     assert boundary == pytest.approx(QUAD_PERIMETER * lam, rel=1e-12)
     with pytest.raises(DegenerateBodyError, match="overlapping"):
         RectUnion((((0.0, 0.0), (lam, lam)), ((lam / 2, lam / 2), (1.5 * lam, 1.5 * lam))))
+
+
+# the middle of each edge of the L-shape and of the quadrilateral, with its
+# outward unit normal
+_EDGES_L = np.array([[2.0, 0.5], [0.5, 2.0], [1.5, 1.0], [0.0, 1.5]])
+_NORMALS_L = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
+_EDGES_Q = np.array([[5.0 / 12.0, 7.0 / 12.0], [0.0, 0.5], [0.25, 0.0], [2.0 / 3.0, 1.0 / 12.0]])
+_NORMALS_Q = QUAD_A / np.linalg.norm(QUAD_A, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-8, 1.0, 1e8])
+def test_membership_pad_scales_with_the_body(lam):
+    # the tol pad is relative to the body, so a dilation by lam leaves every
+    # answer alone; an absolute pad of tol accepted the points just outside
+    # the small bodies, and (5e-10, 0) outside the L-shape 1e-13 wide
+    lshape = RectUnion([(lam * lo, lam * hi) for lo, hi in LSHAPE.rects])
+    quad = HPolytope(QUAD_A, lam * QUAD_B)
+    for body, edges, normals in ((lshape, _EDGES_L, _NORMALS_L), (quad, _EDGES_Q, _NORMALS_Q)):
+        pts = np.vstack([edges - 1e-6 * normals, edges + 1e-6 * normals, [[5e3, 0.0]]])
+        want = [True] * len(edges) + [False] * (len(edges) + 1)
+        assert body.contains_many(lam * pts, tol=1e-9).tolist() == want
 
 
 def test_interior_quadrature_weight_sums_converge():

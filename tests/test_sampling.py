@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from convexineq import (
     Ball,
+    ChainStuckError,
     Cube,
     HPolytope,
     L1Ball,
@@ -133,6 +135,40 @@ def test_hit_and_run_inside_polytope():
     tri = HPolytope(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0]))
     cloud = sampling.hit_and_run(tri, 500, seed=6)
     assert np.all(tri.contains_many(cloud.points, tol=1e-9))
+
+
+@pytest.mark.parametrize(
+    "empty,raises",
+    [
+        (lambda step: slice(None), True),
+        (lambda step: slice(None) if step < 100 else [], True),
+        (lambda step: slice(None) if step < 99 else [], False),
+        (lambda step: [0], True),
+        (lambda step: [0] if step % 2 else [], False),
+        (lambda step: [step % 2], False),
+    ],
+    ids=["always", "100-steps", "99-steps", "one-chain", "every-other-step", "two-chains-in-turn"],
+)
+def test_hit_and_run_stops_after_100_empty_chords_in_a_row(monkeypatch, empty, raises):
+    # the chains that empty(step) names get a zero-width chord on that step;
+    # a chain's count of empty chords in a row ends at its next good chord
+    real = HPolytope._chord
+    steps = itertools.count()
+
+    def chord(self, x, d, diam):
+        lo, hi = real(self, x, d, diam)
+        if x.shape[0] > 1:  # a lockstep step, not one of the start's axis chords
+            rows = empty(next(steps))
+            lo[rows] = hi[rows] = 0.0
+        return lo, hi
+
+    monkeypatch.setattr(HPolytope, "_chord", chord)
+    if raises:
+        with pytest.raises(ChainStuckError):
+            sampling.hit_and_run(TRIANGLE, 64, seed=6, burn_in=300)
+    else:
+        cloud = sampling.hit_and_run(TRIANGLE, 64, seed=6, burn_in=300)
+        assert np.all(TRIANGLE.contains_many(cloud.points, tol=1e-9))
 
 
 def test_hit_and_run_rejects_rect_union():
