@@ -680,7 +680,9 @@ class HPolytope(ConvexBody):
 
     def contains_many(self, points, tol=0.0):
         pts = _check_point_shape(self, points)
-        scale = self._extent + np.abs(self.b)
+        # the pad shrinks with the body's thinnest width, so it never
+        # reaches across a thin body however long the body is
+        scale = self.inscribed_radius + np.abs(self.b)
         return np.all(pts @ self.A.T <= self.b + tol * scale, axis=1)
 
     def support(self, u):
@@ -927,7 +929,7 @@ class RectUnion(_Region):
         pts = _check_point_shape(self, points)
         out = np.zeros(pts.shape[0], dtype=bool)
         for lo, hi in self.rects:
-            pad = tol * (self._extent + np.abs(hi - lo))
+            pad = tol * (hi - lo)
             out |= np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1)
         return out
 

@@ -150,10 +150,7 @@ def hit_and_run(
     g = rng_for(seed, Purpose.SAMPLE_CHAIN)
     x = np.tile(start, (chains, 1))
     kept = np.empty((chains, per_chain, n))
-    # each chain's count of numerically empty chords in a row; a step with no
-    # empty chord resets every count, so only such steps touch the counts
-    no_run = np.zeros(chains, dtype=int)
-    stuck = no_run
+    stuck = np.zeros(chains, dtype=int)
     # the state at time burn_in is the first retained sample, so burn_in=0,
     # thinning=1, m=1 returns the start point itself
     k = 0
@@ -165,21 +162,17 @@ def hit_and_run(
             if k == per_chain:
                 break
         d = g.standard_normal((chains, n))
-        d /= np.sqrt((d * d).sum(axis=1))[:, None]
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
         tmin, tmax = _chord(body, x, d, diam)
         width = tmax - tmin
+        bad = ~(width > min_width)
+        stuck = np.where(bad, stuck + 1, 0)
+        if np.any(stuck >= 100):
+            raise ChainStuckError(
+                "hit-and-run found a numerically empty chord 100 times in a row"
+            )
         u = g.random(chains)
-        if (width > min_width).all():
-            stuck = no_run
-            t = tmin + u * width
-        else:
-            bad = ~(width > min_width)
-            stuck = np.where(bad, stuck + 1, 0)
-            if stuck.max() >= 100:
-                raise ChainStuckError(
-                    "hit-and-run found a numerically empty chord 100 times in a row"
-                )
-            t = np.where(bad, 0.0, tmin + u * width)
+        t = np.where(bad, 0.0, tmin + u * width)
         x += t[:, None] * d
         t_step += 1
     pts = kept.reshape(chains * per_chain, n)[:m]

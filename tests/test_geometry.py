@@ -335,6 +335,17 @@ def test_membership_pad_scales_with_the_body(lam):
         pts = np.vstack([edges - 1e-6 * normals, edges + 1e-6 * normals, [[5e3, 0.0]]])
         want = [True] * len(edges) + [False] * (len(edges) + 1)
         assert body.contains_many(lam * pts, tol=1e-9).tolist() == want
+    # nor does the pad reach across the thin side of a long body: (0, 9e-4)
+    # lies 0.4 widths outside this box
+    half = np.array([5e5, 5e-4])
+    signs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    box_rect = RectUnion([(-lam * half, lam * half)])
+    box_poly = HPolytope(signs, lam * np.repeat(half, 2))
+    facets = signs * half
+    pts = np.vstack([facets * (1 - 1e-6), facets * (1 + 1e-6), [[0.0, 9e-4]]])
+    want = [True] * 4 + [False] * 5
+    for body in (box_rect, box_poly):
+        assert body.contains_many(lam * pts, tol=1e-9).tolist() == want
 
 
 def test_interior_quadrature_weight_sums_converge():
