@@ -8,6 +8,12 @@ other streams were consumed before it.  That makes every estimate in the
 package reproducible bit-for-bit regardless of evaluation order or worker
 count.
 
+:func:`chunked` makes the chunks of one large request concurrently, on the
+calling thread and one helper per further usable CPU (:func:`usable_cpus`).
+Each chunk's stream and its rows of the result are fixed by its index, so
+the output is the same whatever the thread count, and at most one chunk per
+working thread is held beside the result.
+
 Every purpose code lives in the one :class:`Purpose` table below, which
 keeps the codes distinct: two call sites sharing a user-facing seed and a
 code would make logically independent estimates reuse the same stream.  A
@@ -17,6 +23,8 @@ code's value is part of every stream it keys, so values never change.
 from __future__ import annotations
 
 import enum
+import os
+import threading
 
 import numpy as np
 
@@ -104,15 +112,31 @@ def child_seed(seed: int, purpose: int, rep: int = 0) -> int:
     return int(g.integers(0, 2**63 - 1))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; every thread pool in the package is
+    sized from it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def chunked(seed: int, purpose: int, rep: int, total: int, make):
     """Generate ``total`` rows in CHUNK-sized pieces with per-chunk streams.
 
     ``make(generator, count)`` must return an array whose leading dimension is
-    ``count``.  Chunk i draws from its own stream (seed, purpose, rep, i), so
-    its rows do not depend on the chunks made before it.  The chunks are made
-    in order and copied into one result allocated after the first, so at
-    most one chunk is held beside the result; a single chunk is returned as
-    it is.
+    ``count``, and must share no mutable state between calls.  Chunk i draws
+    from its own stream (seed, purpose, rep, i) and fills rows
+    [i * CHUNK, i * CHUNK + count) of the result, so its rows depend neither
+    on the chunks made before it nor on which thread makes it.  Chunk 0 is
+    made first and fixes the result's shape and dtype; a single chunk is
+    returned as it is.  The others are handed out one at a time from a
+    shared index to the calling thread and to one helper thread per further
+    usable CPU (none when one CPU or one remaining chunk leaves nothing to
+    share), each copying its chunk into the result allocated after the
+    first, so at most one chunk per working thread is held beside the
+    result.  The first exception raised by ``make`` stops the handing-out
+    and is re-raised once every helper has finished.
     """
     if total <= 0:
         raise ValueError("total must be positive")
@@ -122,7 +146,36 @@ def chunked(seed: int, purpose: int, rep: int, total: int, make):
     out = np.empty((total,) + first.shape[1:], dtype=first.dtype)
     out[:CHUNK] = first
     del first
-    for idx, done in enumerate(range(CHUNK, total, CHUNK), start=1):
-        take = min(CHUNK, total - done)
-        out[done:done + take] = make(rng_for(seed, purpose, rep, idx), take)
+    count = -(-total // CHUNK)
+    lock = threading.Lock()
+    errors = []
+    todo = iter(range(1, count))
+
+    def work():
+        while True:
+            with lock:
+                idx = None if errors else next(todo, None)
+            if idx is None:
+                return
+            start = idx * CHUNK
+            take = min(CHUNK, total - start)
+            try:
+                out[start:start + take] = make(rng_for(seed, purpose, rep, idx), take)
+            except BaseException as exc:  # re-raised by the calling thread below
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = []
+    try:
+        for _ in range(min(usable_cpus(), count - 1) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
     return out

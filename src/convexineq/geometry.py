@@ -369,7 +369,9 @@ class Ball(_NormBall):
             z = g.standard_normal((count, n))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             u = g.random(count) ** (1.0 / n)
-            return r * z * u[:, None]
+            z *= r
+            z *= u[:, None]
+            return z
 
         return make
 
@@ -486,7 +488,10 @@ class Cube(_NormBall):
         n, s = self.dim, self.side
 
         def make(g, count):
-            return (g.random((count, n)) - 0.5) * s
+            x = g.random((count, n))
+            x -= 0.5
+            x *= s
+            return x
 
         return make
 
@@ -543,8 +548,9 @@ class L1Ball(_NormBall):
         def make(g, count):
             e = g.standard_exponential((count, n + 1))
             x = e[:, :n] / e.sum(axis=1, keepdims=True)
-            signs = np.where(g.random((count, n)) < 0.5, -1.0, 1.0)
-            return r * x * signs
+            del e
+            x *= r
+            return np.negative(x, out=x, where=g.random((count, n)) < 0.5)
 
         return make
 

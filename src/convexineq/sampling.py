@@ -8,7 +8,10 @@ class computes.
 
 All samplers draw from counter-based streams in fixed-size chunks, so output
 is bit-reproducible for a given (body, m, seed) regardless of scheduling.
-Each call verifies membership of a 1% subsample before returning.
+Direct sampling makes the chunks of a large request on all usable CPUs
+(:func:`convexineq._rng.chunked`), and its output does not depend on how
+many there are.  Each call verifies membership of a 1% subsample before
+returning.
 """
 
 from __future__ import annotations

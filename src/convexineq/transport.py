@@ -59,14 +59,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._rng import Purpose, child_seed
+from ._rng import Purpose, child_seed, usable_cpus
 from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
@@ -559,16 +558,9 @@ def wasserstein_empirical(
         plan = exact_ot(DiscreteMeasure.from_cloud(ca), DiscreteMeasure.from_cloud(cb), p)
         return plan.cost ** (1.0 / p)
 
-    with ThreadPoolExecutor(max_workers=max(1, min(reps, _usable_cpus()))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(reps, usable_cpus()))) as pool:
         vals = list(pool.map(one, range(reps)))
     return Estimate.of_samples(vals, seed=seed)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def wasserstein_1d(samplesA, samplesB, p: int = 1) -> float:

@@ -149,7 +149,7 @@ def test_first_exact_ot_calls_on_the_pool_match_a_warm_process():
     got = _fresh(
         "from convexineq import Ball, Cube, transport\n"
         "assert 'scipy.optimize' not in sys.modules\n"
-        "transport._usable_cpus = lambda: 4\n"
+        "transport.usable_cpus = lambda: 4\n"
         "sys.setswitchinterval(1e-6)\n"
         "est = transport.wasserstein_empirical(Ball(1.0, 2), Cube(1.0, 2), p=1, m=64, seed=11, reps=4)\n"
         "print(json.dumps([est.value.hex(), est.stderr.hex(), est.count, est.seed]))\n"

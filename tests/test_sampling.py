@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from convexineq import (
     geometry,
     sampling,
 )
+from convexineq import _rng
 from convexineq._rng import CHUNK, Purpose, chunked, rng_for
 
 LSHAPE = RectUnion((((0.0, 0.0), (2.0, 1.0)), ((0.0, 1.0), (1.0, 2.0))))
@@ -109,7 +112,8 @@ def test_chunked_equals_the_concatenated_chunks(total, kind):
     )
     counts.clear()
     out = chunked(4, Purpose.SAMPLE_DIRECT, 2, total, make)
-    assert counts == takes
+    # each chunk is made once with its size; the order is the pool's
+    assert sorted(counts) == sorted(takes)
     assert out.shape == expect.shape and out.dtype == expect.dtype
     assert np.array_equal(out, expect)
 
@@ -122,6 +126,121 @@ def test_chunked_returns_a_single_chunk_as_made():
         return made[-1]
 
     assert chunked(4, Purpose.SAMPLE_DIRECT, 0, CHUNK, make) is made[0]
+
+
+@pytest.fixture
+def fast_switching():
+    # threads switch every microsecond, so chunks finish in shuffled order
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _chunk_index(g) -> int:
+    # the low 32 bits of the Philox key's tag are the chunk index
+    return int(g.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("kind", ["points", "integers"])
+def test_chunked_does_not_depend_on_the_pool_size(monkeypatch, fast_switching, cpus, kind):
+    total = 3 * CHUNK + 5
+    makers = set()
+
+    def make(g, count):
+        makers.add(threading.get_ident())
+        return g.random((count, 3)) if kind == "points" else g.integers(0, 1000, size=count)
+
+    takes = [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
+    expect = np.concatenate(
+        [make(rng_for(4, Purpose.SAMPLE_DIRECT, 2, i), take) for i, take in enumerate(takes)]
+    )
+    makers.clear()
+    monkeypatch.setattr(_rng, "usable_cpus", lambda: cpus)
+    out = chunked(4, Purpose.SAMPLE_DIRECT, 2, total, make)
+    assert out.shape == expect.shape and out.dtype == expect.dtype
+    assert np.array_equal(out, expect)
+    if cpus == 1:
+        assert makers == {threading.get_ident()}
+
+
+def test_chunked_makes_two_chunks_on_the_calling_thread(monkeypatch):
+    makers = []
+
+    def make(g, count):
+        makers.append(threading.get_ident())
+        return g.random(count)
+
+    monkeypatch.setattr(_rng, "usable_cpus", lambda: 8)
+    chunked(4, Purpose.SAMPLE_DIRECT, 0, CHUNK + 1, make)
+    assert makers == [threading.get_ident()] * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_chunked_reraises_the_first_error_and_leaves_no_thread(monkeypatch, fast_switching, cpus):
+    made = []
+
+    def make(g, count):
+        idx = _chunk_index(g)
+        if idx == 2:
+            raise SamplingError("chunk 2 failed")
+        made.append(idx)
+        return g.random(count)
+
+    monkeypatch.setattr(_rng, "usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(SamplingError, match="chunk 2 failed"):
+        chunked(4, Purpose.SAMPLE_DIRECT, 0, 12 * CHUNK, make)
+    assert threading.active_count() == before
+    if cpus == 1:
+        # the serial order stops at the failing chunk
+        assert made == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Ball(1.0, 3),
+        Cube(1.0, 3),
+        L1Ball(1.0, 3),
+        LSHAPE,
+        geometry.apply_affine(Cube(1.0, 3), [[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.2, 0.0, 0.5]], [1.0, -1.0, 0.5]),
+    ],
+    ids=["ball", "cube", "l1ball", "lshape", "affine-cube"],
+)
+def test_direct_samples_do_not_depend_on_the_pool_size(monkeypatch, fast_switching, body):
+    m = 2 * CHUNK + 7
+    clouds = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(_rng, "usable_cpus", lambda cpus=cpus: cpus)
+        clouds[cpus] = sampling.sample_uniform(body, m, seed=21).points
+    assert np.array_equal(clouds[2], clouds[1])
+    assert np.array_equal(clouds[8], clouds[1])
+
+
+def _box_polytope():
+    A = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
+    return HPolytope(A, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Ball(1.0, 3), _box_polytope, lambda: geometry.apply_affine(_box_polytope(), np.diag([1.0, 2.0, 0.5]))],
+    ids=["ball", "hpolytope", "affine-hpolytope"],
+)
+def test_mc_volume_does_not_depend_on_the_pool_size(monkeypatch, fast_switching, build):
+    # a new body per pool size, so whatever it builds lazily is first built
+    # while the helpers run
+    values = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(_rng, "usable_cpus", lambda cpus=cpus: cpus)
+        est = geometry.volume_with_error(build(), mc_samples=5 * CHUNK + 3, seed=13, method="mc")
+        values[cpus] = (est.value, est.stderr, est.count)
+    assert values[2] == values[1]
+    assert values[8] == values[1]
 
 
 def test_hit_and_run_zero_burnin_returns_start():

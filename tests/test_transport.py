@@ -550,7 +550,7 @@ def test_wasserstein_empirical_does_not_depend_on_the_pool_size(monkeypatch, cpu
     # eight threads on fewer cores, switching often, finish in shuffled order
     A, B = W_PAIRS["cube-in-ball-3d"]
     serial = _serial_wasserstein(A, B, 1, 64, 4, 10)
-    monkeypatch.setattr(transport, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(transport, "usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
