@@ -46,6 +46,7 @@ class Purpose(enum.IntEnum):
     # geometry
     VOLUME_MC = 6
     SPHERE_MESH = 7
+    SAMPLE_PILOT = 8
     # isotropy
     ISO_FIT = 10
     ISO_VALIDATE = 11

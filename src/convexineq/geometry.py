@@ -27,7 +27,10 @@ Conventions used throughout:
   module branches on the kind of body: beside membership, support and
   quadrature, the hooks ``_direct_sampler``, ``_support_norm`` and
   ``_exact_center`` (None where the variant has no closed form) and a
-  convex body's hit-and-run ``_chord``.  Ball, cube and cross-polytope are
+  convex body's hit-and-run ``_chord``.  An H-polytope's exact sampler is
+  rejection from its bounding box, offered only when a seed-independent
+  pilot finds a box acceptance of at least 1e-3; below that it has none,
+  and is sampled by hit-and-run.  Ball, cube and cross-polytope are
   the balls {x : |x|_q <= r} of q = 2, inf and 1, and one private base
   holds their membership, support, bounding box and centre; each class
   keeps only its closed forms.
@@ -69,6 +72,14 @@ from .reporting import Record, canonical_hash
 # an affine map counts as singular when its smallest singular value is below
 # this fraction of its largest: a test of conditioning, blind to scale
 _COND_FLOOR = 1e-12
+
+# An H-polytope is sampled exactly by rejection from its bounding box
+# (Devroye 1986, ch. 2) when at least _BOX_FLOOR of a fixed pilot of
+# _BOX_PILOT box points lies inside it.  Box points are drawn in batches of
+# _BOX_BATCH, so the points a stream yields do not depend on the count asked.
+_BOX_BATCH = 8192
+_BOX_PILOT = 65536
+_BOX_FLOOR = 1e-3
 
 
 def unit_ball_volume(n: int) -> float:
@@ -709,6 +720,44 @@ class HPolytope(ConvexBody):
 
     def to_json(self):
         return {"variant": "hpolytope", "dim": self.dim, "A": self.A.tolist(), "b": self.b.tolist()}
+
+    def _box_draws(self, g):
+        """One batch of uniform points in the bounding box, and which of them
+        satisfy A x <= b exactly."""
+        lo, hi = self._bbox
+        x = g.random((_BOX_BATCH, self.dim))
+        x *= hi - lo
+        x += lo
+        return x, np.all(x @ self.A.T <= self.b, axis=1)
+
+    @functools.cached_property
+    def _box_acceptance(self) -> float:
+        """The share of a pilot of box points inside the body.  The pilot's
+        stream is the same for every body and seed, so each body takes one
+        sampler whatever the seed and the count."""
+        g = rng_for(0, Purpose.SAMPLE_PILOT)
+        hits = sum(int(self._box_draws(g)[1].sum()) for _ in range(_BOX_PILOT // _BOX_BATCH))
+        return hits / _BOX_PILOT
+
+    def _direct_sampler(self):
+        # rejection from the bounding box: the batches' inside points in
+        # stream order; below the acceptance floor, None leaves the body
+        # to hit-and-run
+        if self._box_acceptance < _BOX_FLOOR:
+            return None
+        n = self.dim
+
+        def make(g, count):
+            out = np.empty((count, n))
+            have = 0
+            while have < count:
+                x, inside = self._box_draws(g)
+                x = x[inside][: count - have]
+                out[have:have + x.shape[0]] = x
+                have += x.shape[0]
+            return out
+
+        return make
 
     def _chord(self, x, d, diam):
         # row i bounds t above where <a_i, d> > 0 and below where it is < 0,

@@ -1,10 +1,13 @@
 """Uniform sampling from convex bodies.
 
 A body whose class has an exact sampler (``_direct_sampler`` in
-:mod:`geometry`: ball, cube, cross-polytope, rectangle unions and affine
-images of those) is sampled directly; any other convex body, such as a
-general H-polytope, by a vectorized hit-and-run chain along the chords its
-class computes.
+:mod:`geometry`: ball, cube, cross-polytope, rectangle unions, most
+H-polytopes and affine images of those) is sampled directly; any other
+convex body by a vectorized hit-and-run chain along the chords its class
+computes.  An H-polytope is sampled by rejection from its bounding box when
+a pilot of box points, drawn from one fixed stream whatever the seed, finds
+at least 1e-3 of them inside it, and by hit-and-run otherwise; so one body
+always takes one sampler.
 
 All samplers draw from counter-based streams in fixed-size chunks, so output
 is bit-reproducible for a given (body, m, seed) regardless of scheduling.
@@ -73,7 +76,12 @@ class PointCloud:
 
 
 def sample_uniform(body: Domain, m: int, seed: int) -> PointCloud:
-    """Draw m uniform points; exact sampler when one exists, else hit-and-run."""
+    """Draw m uniform points; exact sampler when one exists, else hit-and-run.
+
+    An H-polytope (or an affine image of one) has an exact sampler, rejection
+    from its bounding box, when a seed-independent pilot finds its box
+    acceptance at least 1e-3; below that it goes to hit-and-run.
+    """
     if m <= 0:
         raise SamplingError(f"sample count must be positive, got {m}")
     make = body._direct_sampler()

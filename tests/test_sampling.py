@@ -64,11 +64,11 @@ PINNED = [
         "direct",
         "7883ba85e908c203c52de1a7dba1d0f7d3c836245e3250ac8b870b65037d40c0",
     ),
-    (TRIANGLE, "hit_and_run", "bc10d93bd6fd7fc4dcfb3793653fcdc0b0600a111be54a9975c585411a736af9"),
+    (TRIANGLE, "direct", "ed1c870d9f8f9dc3ee04a76477862179de20dc3cdc952a5b8e71787cc9a76959"),
     (
         geometry.apply_affine(TRIANGLE, [[1.5, 0.2], [0.1, 0.8]], [0.1, 0.2]),
-        "hit_and_run",
-        "438fe90df4ac8082c7bc5004cce2e1928f106d487df06a29888c133bc533b349",
+        "direct",
+        "afea8ae359daa6e3391217ee664ea7852bc947f4de8e76222299d72b7722f0e0",
     ),
 ]
 
@@ -81,6 +81,24 @@ PINNED = [
 def test_samples_are_pinned(body, sampler, digest):
     cloud = sampling.sample_uniform(body, 1000, seed=3)
     assert cloud.sampler == sampler
+    assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == digest
+
+
+# SHA-256 of hit_and_run(body, 1000, seed=3).points.tobytes(): the chain
+# itself, now that these bodies are sampled by rejection
+CHAIN_PINNED = [
+    (TRIANGLE, "bc10d93bd6fd7fc4dcfb3793653fcdc0b0600a111be54a9975c585411a736af9"),
+    (
+        geometry.apply_affine(TRIANGLE, [[1.5, 0.2], [0.1, 0.8]], [0.1, 0.2]),
+        "438fe90df4ac8082c7bc5004cce2e1928f106d487df06a29888c133bc533b349",
+    ),
+]
+
+
+@pytest.mark.parametrize("body,digest", CHAIN_PINNED, ids=["triangle", "affine-triangle"])
+def test_hit_and_run_is_pinned(body, digest):
+    cloud = sampling.hit_and_run(body, 1000, seed=3)
+    assert cloud.sampler == "hit_and_run"
     assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == digest
 
 
@@ -200,6 +218,15 @@ def test_chunked_reraises_the_first_error_and_leaves_no_thread(monkeypatch, fast
         assert made == [0, 1]
 
 
+def _box_polytope():
+    A = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
+    return HPolytope(A, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
+
+
+def _affine_box_polytope():
+    return geometry.apply_affine(_box_polytope(), [[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.2, 0.0, 0.5]], [1.0, -1.0, 0.5])
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -208,22 +235,38 @@ def test_chunked_reraises_the_first_error_and_leaves_no_thread(monkeypatch, fast
         L1Ball(1.0, 3),
         LSHAPE,
         geometry.apply_affine(Cube(1.0, 3), [[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.2, 0.0, 0.5]], [1.0, -1.0, 0.5]),
+        _box_polytope(),
+        _affine_box_polytope(),
     ],
-    ids=["ball", "cube", "l1ball", "lshape", "affine-cube"],
+    ids=["ball", "cube", "l1ball", "lshape", "affine-cube", "hpolytope", "affine-hpolytope"],
 )
 def test_direct_samples_do_not_depend_on_the_pool_size(monkeypatch, fast_switching, body):
     m = 2 * CHUNK + 7
     clouds = {}
     for cpus in (1, 2, 8):
         monkeypatch.setattr(_rng, "usable_cpus", lambda cpus=cpus: cpus)
-        clouds[cpus] = sampling.sample_uniform(body, m, seed=21).points
+        cloud = sampling.sample_uniform(body, m, seed=21)
+        assert cloud.sampler == "direct"
+        clouds[cpus] = cloud.points
     assert np.array_equal(clouds[2], clouds[1])
     assert np.array_equal(clouds[8], clouds[1])
 
 
-def _box_polytope():
-    A = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
-    return HPolytope(A, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5])
+@pytest.mark.parametrize("build", [_box_polytope, _affine_box_polytope], ids=["hpolytope", "affine-hpolytope"])
+def test_fresh_polytope_samples_do_not_depend_on_the_pool_size(monkeypatch, fast_switching, build):
+    # a new body per pool size has not measured its box acceptance before
+    # the call, so the pilot runs inside it, before any helper thread starts
+    m = 2 * CHUNK + 7
+    clouds = {}
+    for cpus in (1, 2, 8):
+        body = build()
+        assert "_box_acceptance" not in vars(getattr(body, "base", body))
+        monkeypatch.setattr(_rng, "usable_cpus", lambda cpus=cpus: cpus)
+        cloud = sampling.sample_uniform(body, m, seed=21)
+        assert cloud.sampler == "direct"
+        clouds[cpus] = cloud.points
+    assert np.array_equal(clouds[2], clouds[1])
+    assert np.array_equal(clouds[8], clouds[1])
 
 
 @pytest.mark.parametrize(
@@ -241,6 +284,74 @@ def test_mc_volume_does_not_depend_on_the_pool_size(monkeypatch, fast_switching,
         values[cpus] = (est.value, est.stderr, est.count)
     assert values[2] == values[1]
     assert values[8] == values[1]
+
+
+def _simplex(n):
+    # {x >= 0, sum x <= 1}: box acceptance 1/n!
+    return HPolytope(np.vstack([-np.eye(n), np.ones((1, n))]), np.r_[np.zeros(n), 1.0])
+
+
+def _cross(n):
+    # the cross-polytope sum |x_i| <= 1: box acceptance 1/n!
+    return HPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=n))), np.ones(2**n))
+
+
+def test_polytope_rejection_keeps_the_inside_box_points_in_stream_order():
+    body = _simplex(5)
+    small = sampling.sample_uniform(body, 1000, seed=9)
+    large = sampling.sample_uniform(body, 3000, seed=9)
+    assert small.sampler == large.sampler == "direct"
+    assert np.array_equal(large.points[:1000], small.points)
+    # every point satisfies A x <= b with no tolerance
+    assert np.maximum(large.points @ body.A.T - body.b, 0.0).max() == 0.0
+    g = rng_for(9, Purpose.SAMPLE_DIRECT)
+    lo, hi = body.bounding_box()
+    kept = []
+    while sum(len(k) for k in kept) < 3000:
+        x = lo + (hi - lo) * g.random((geometry._BOX_BATCH, 5))
+        kept.append(x[np.all(x @ body.A.T <= body.b, axis=1)])
+    assert np.array_equal(large.points, np.concatenate(kept)[:3000])
+
+
+@pytest.mark.parametrize(
+    "body,closed",
+    [
+        # [-5, 5] x [-0.05, 0.05]^4, the box of aspect 100: sum of side^2 / 12
+        (HPolytope(np.vstack([np.eye(5), -np.eye(5)]), np.tile([5.0, 0.05, 0.05, 0.05, 0.05], 2)),
+         (10.0**2 + 4 * 0.1**2) / 12.0),
+        # the 5-simplex, box acceptance 1/120: E|x|^2 = 2n / ((n + 1)(n + 2))
+        (_simplex(5), 10.0 / 42.0),
+    ],
+    ids=["aspect-100-box", "simplex-5"],
+)
+def test_polytope_second_moment_is_honest(body, closed):
+    # over 40 seeds the z-scores of E|x|^2 against the closed form spread
+    # like a standard normal and centre on 0
+    m = 1024
+    z = []
+    for seed in range(40):
+        sq = (sampling.sample_uniform(body, m, seed).points ** 2).sum(axis=1)
+        z.append((sq.mean() - closed) / (sq.std(ddof=1) / math.sqrt(m)))
+    z = np.array(z)
+    assert 0.7 <= z.std(ddof=1) <= 1.4
+    assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
+
+
+def test_polytope_below_the_acceptance_floor_takes_hit_and_run():
+    body = _cross(8)
+    cloud = sampling.sample_uniform(body, 128, seed=5)
+    assert cloud.sampler == "hit_and_run"
+    assert np.array_equal(cloud.points, sampling.hit_and_run(body, 128, seed=5).points)
+
+
+@pytest.mark.parametrize(
+    "build,sampler", [(lambda: _simplex(5), "direct"), (lambda: _cross(8), "hit_and_run")],
+    ids=["simplex-5", "cross-8"],
+)
+def test_polytope_sampler_does_not_depend_on_seed_or_count(build, sampler):
+    # a new body per call, so each call measures the acceptance afresh
+    got = {sampling.sample_uniform(build(), m, seed).sampler for seed in (1, 2) for m in (64, 200)}
+    assert got == {sampler}
 
 
 def test_hit_and_run_zero_burnin_returns_start():
