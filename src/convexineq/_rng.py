@@ -51,11 +51,7 @@ class Purpose(enum.IntEnum):
     ISO_FIT = 10
     ISO_VALIDATE = 11
     ISO_VOLUME = 12
-    ISO_NET = 13
     ISO_CERT = 14
-    RATIO_VOLUME_B = 21
-    RATIO_VOLUME_K = 22
-    CENTERED_CHECK = 23
     ENTROPY_VOLUME_K = 24
     ENTROPY_VOLUME_B = 25
     # transport

@@ -178,11 +178,17 @@ MANIFEST_SCHEMA = {
     ],
 }
 
-# "integer" means a JSON number written without a fraction: 2.0 is not a count
+# "integer" means a JSON number written without a fraction: 2.0 is not a
+# count; "number" means a finite one, since json.loads and float() accept
+# NaN and Infinity, and either makes a tolerance or an exponent meaningless
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
+            "number": lambda checker, x: not isinstance(x, bool)
+            and (isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))),
+        }
     ),
 )
 

@@ -43,8 +43,10 @@ class Estimate(Record):
     seed: int | None = None
 
     def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
+        # NaN fails every comparison, so it is refused with the negatives;
+        # inf stays, as sqrt() gives it at 0
+        if not self.stderr >= 0:
+            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
 

@@ -25,15 +25,14 @@ Conventions used throughout:
   same read-only arrays.
 * What differs between variants lives on the variant's class, so no other
   module branches on the kind of body: beside membership, support and
-  quadrature, the hooks ``_direct_sampler``, ``_support_norm`` and
-  ``_exact_center`` (None where the variant has no closed form) and a
-  convex body's hit-and-run ``_chord``.  An H-polytope's exact sampler is
-  rejection from its bounding box, offered only when a seed-independent
-  pilot finds a box acceptance of at least 1e-3; below that it has none,
-  and is sampled by hit-and-run.  Ball, cube and cross-polytope are
-  the balls {x : |x|_q <= r} of q = 2, inf and 1, and one private base
-  holds their membership, support, bounding box and centre; each class
-  keeps only its closed forms.
+  quadrature, the hook ``_direct_sampler`` (None where the variant has no
+  exact sampler) and a convex body's hit-and-run ``_chord``.  An
+  H-polytope's exact sampler is rejection from its bounding box, offered
+  only when a seed-independent pilot finds a box acceptance of at least
+  1e-3; below that it has none, and is sampled by hit-and-run.  Ball,
+  cube and cross-polytope are the balls {x : |x|_q <= r} of q = 2, inf
+  and 1, and one private base holds their membership, support, bounding
+  box and centre; each class keeps only its closed forms.
 * Tolerances on lengths are fractions of the body's longest bounding-box
   side, so a dilated body is refused, meshed and measured like the
   original at any scale; an H-polytope's linear programs solve on b over
@@ -239,14 +238,6 @@ class _Region:
         """make(generator, count) drawing count exact uniform points, or None."""
         return None
 
-    def _support_norm(self) -> tuple[str, float] | None:
-        """(norm "1", "2" or "inf", scale) with h(u) = scale * ||u||_norm, or None."""
-        return None
-
-    def _exact_center(self) -> np.ndarray | None:
-        """The barycentre when it is known without sampling, else None."""
-        return None
-
     @functools.cached_property
     def _extent(self) -> float:
         """The longest side of the bounding box: the length that the
@@ -319,16 +310,19 @@ class _NormBall(ConvexBody):
     Membership, the support function r |u|_q* (q* the dual exponent), the
     bounding box [-r, r]^n and the centre are one rule for every q.  A
     subclass sets ``_q`` and ``_dual`` ("1", "2" or "inf", as ``float``
-    reads them and ``_support_norm`` reports the dual), ``_what`` (its size
-    in error messages) and its closed forms.  ``_r`` is r: the radius of
-    Ball and L1Ball, half the side of Cube.
+    reads them), ``_what`` (its size in error messages) and its closed
+    forms.  ``_r`` is r: the radius of Ball and L1Ball, half the side of
+    Cube.
     """
 
     def __init__(self, radius: float, dim: int):
         self._r = self.radius = self._checked(radius, dim)
 
     def _checked(self, size: float, dim: int) -> float:
-        """Set dim and return size as a float, refusing a degenerate either."""
+        """Set dim and return size as a float, refusing a degenerate either.
+        A dimension is a count: 2.5, 2.0 and True are refused, not rounded."""
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise DegenerateBodyError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise DegenerateBodyError(f"dimension must be >= 1, got {dim}")
         if not (size > 0 and math.isfinite(size)):
@@ -349,11 +343,6 @@ class _NormBall(ConvexBody):
 
     def interior_point(self):
         return np.zeros(self.dim)
-
-    _exact_center = interior_point
-
-    def _support_norm(self):
-        return self._dual, self._r
 
 
 class Ball(_NormBall):
@@ -912,25 +901,6 @@ class AffineImage(ConvexBody):
 
         return make
 
-    def _support_norm(self):
-        # only a pure scaling t I (t > 0, no shift) keeps the base's norm, so
-        # rescalings about the origin stay on the closed-form path
-        L, s = self.map.linear, self.map.shift
-        t = L[0, 0]
-        if (
-            t > 0
-            and np.allclose(L, t * np.eye(self.dim), rtol=0, atol=1e-14 * abs(t))
-            and np.allclose(s, 0.0, rtol=0, atol=1e-14 * abs(t))
-        ):
-            inner = self.base._support_norm()
-            if inner is not None:
-                return inner[0], inner[1] * t
-        return None
-
-    def _exact_center(self):
-        center = self.base._exact_center()
-        return None if center is None else self.map.linear @ center + self.map.shift
-
     def _interior_quadrature(self, resolution):
         nodes, weights = self.base._interior_quadrature(resolution)
         return self.map.apply(nodes), weights * abs(self.map.det)
@@ -1261,15 +1231,6 @@ def volume_with_error(
     value = box_vol * p
     stderr = box_vol * math.sqrt(max(p * (1 - p), 1.0 / mc_samples) / mc_samples)
     return Estimate(value=value, stderr=stderr, count=mc_samples, seed=seed)
-
-
-def support(body: Domain, u) -> float:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (body.dim,):
-        raise DimensionMismatchError(f"direction shape {u.shape} against dimension {body.dim}")
-    if np.linalg.norm(u) == 0:
-        raise DegenerateBodyError("support direction must be nonzero")
-    return body.support(u)
 
 
 def apply_affine(body: ConvexBody, linear, shift=None) -> AffineImage:

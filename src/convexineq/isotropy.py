@@ -1,4 +1,4 @@
-"""Isotropic position, isotropic constants, and volume ratios.
+"""Isotropic position, isotropic constants, and relative entropy.
 
 A body is in isotropic position when it has unit volume, barycenter at the
 origin, and covariance L^2 I; the scalar L is its isotropic constant.  For a
@@ -7,11 +7,6 @@ fitting routine estimates.  The affine map to isotropic position is computed
 from one point cloud and validated on an independent one, so the reported
 defect is an out-of-sample quantity rather than an artifact of whitening the
 data that produced the map.
-
-``volume_ratio`` measures (|B| / |T(K)|)^(1/n) for the largest T(K) that fits
-inside B.  For concentric scalings of ball, cube, and cross-polytope the
-optimal scale is closed form via support functions; other pairs use a support
-net refined by a membership certificate.
 
 ``relative_entropy_uniform`` is the entropy of the uniform law on K relative
 to the uniform law on a superset B, which is exactly log(|B| / |K|).
@@ -25,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from ._rng import Purpose, child_seed, rng_for
+from ._rng import Purpose, child_seed
 from .errors import (
     ContainmentError,
     DegenerateBodyError,
@@ -121,131 +116,6 @@ def isotropic_constant(body: ConvexBody, m: int = 100_000, seed: int = 0) -> Est
     to the body leaves the value unchanged.
     """
     return isotropic_position(body, m=m, seed=seed).L_estimate
-
-
-# -- containment scales and volume ratio -------------------------------------
-
-# largest t with t * (unit K-norm ball) inside (unit B-norm ball), where the
-# norms are indexed 1, 2, inf; entries follow from the standard norm
-# comparisons on R^n, minima attained on an axis or the main diagonal
-def _norm_ratio_min(nb: str, nk: str, n: int) -> float:
-    if nb == nk:
-        return 1.0
-    pairs = {
-        ("1", "2"): 1.0,
-        ("1", "inf"): 1.0,
-        ("2", "inf"): 1.0,
-        ("2", "1"): 1.0 / math.sqrt(n),
-        ("inf", "1"): 1.0 / n,
-        ("inf", "2"): 1.0 / math.sqrt(n),
-    }
-    return pairs[(nb, nk)]
-
-
-def inscribe_scale(B: Domain, K: Domain, *, m: int = 10_000, seed: int = 0) -> float:
-    """Largest t such that t K fits inside B (both taken about the origin).
-
-    Closed form for ball/cube/cross-polytope pairs; otherwise the minimum of
-    h_B / h_K over a direction net, shrunk by bisection until a sampled
-    membership certificate passes.
-    """
-    if B.dim != K.dim:
-        raise DimensionMismatchError(f"bodies live in dimensions {B.dim} and {K.dim}")
-    n = B.dim
-    sb, sk = B._support_norm(), K._support_norm()
-    if sb is not None and sk is not None:
-        (nb, cb), (nk, ck) = sb, sk
-        return (cb / ck) * _norm_ratio_min(nb, nk, n)
-    g = rng_for(seed, Purpose.ISO_NET)
-    dirs = g.standard_normal((4096, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    axes = np.concatenate([np.eye(n), -np.eye(n), np.ones((1, n)) / math.sqrt(n)])
-    dirs = np.concatenate([axes, dirs])
-    t = min(geometry.support(B, u) / max(geometry.support(K, u), 1e-300) for u in dirs)
-    cloud = sample_uniform(K, m, child_seed(seed, Purpose.ISO_CERT))
-
-    def certified(scale: float) -> bool:
-        return bool(np.all(B.contains_many(scale * cloud.points, tol=1e-9)))
-
-    if certified(t):
-        return float(t)
-    lo, hi = 0.0, t
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
-
-
-def volume_ratio(
-    B: Domain,
-    K: Domain,
-    *,
-    mode: str = "concentric_scaling",
-    map: AffineMap | None = None,
-    m: int = 10_000,
-    seed: int = 0,
-) -> Estimate:
-    """Volume ratio (|B| / |T(K)|)^(1/n) for the chosen inclusion T(K) in B.
-
-    Modes:
-        concentric_scaling: T = t I with the largest feasible t.
-        given_map: T supplied by the caller and checked by a sampled
-            membership certificate.
-
-    The value is always >= 1 up to certificate error, with equality when
-    T(K) fills B.
-    """
-    if B.dim != K.dim:
-        raise DimensionMismatchError(f"bodies live in dimensions {B.dim} and {K.dim}")
-    n = B.dim
-    mc = max(m, 100_000)
-    vol_b = geometry.volume_with_error(B, mc_samples=mc, seed=child_seed(seed, Purpose.RATIO_VOLUME_B))
-    vol_k = geometry.volume_with_error(K, mc_samples=mc, seed=child_seed(seed, Purpose.RATIO_VOLUME_K))
-    if mode == "concentric_scaling":
-        _require_centered(B, m, seed)
-        _require_centered(K, m, seed)
-        t = inscribe_scale(B, K, m=m, seed=seed)
-        if t <= 0:
-            raise DegenerateBodyError("no positive concentric scaling fits inside the target")
-        det = t**n
-    elif mode == "given_map":
-        if map is None:
-            raise SamplingError("mode 'given_map' requires a map")
-        cloud = sample_uniform(K, m, child_seed(seed, Purpose.ISO_CERT))
-        image = map.apply(cloud.points)
-        ok = B.contains_many(image, tol=1e-9)
-        if not np.all(ok):
-            witness = image[~ok][0]
-            raise ContainmentError(
-                f"mapped body leaves the target: witness point {witness.tolist()}"
-            )
-        det = abs(map.det)
-    else:
-        raise SamplingError(f"unknown volume_ratio mode {mode!r}")
-    return ((vol_b / vol_k) / det) ** (1.0 / n)
-
-
-def _require_centered(body: Domain, m: int, seed: int) -> None:
-    """Concentric scaling is only meaningful for origin-centered bodies; the
-    barycentre is sampled only where the body has no exact one."""
-    lo, hi = body.bounding_box()
-    diam = float(np.linalg.norm(hi - lo))
-    center = body._exact_center()
-    if center is not None:
-        if float(np.linalg.norm(center)) <= 1e-9 * diam:
-            return
-        raise DegenerateBodyError("concentric scaling requires an origin-centered body")
-    cloud = sample_uniform(body, max(m, 4096), child_seed(seed, Purpose.CENTERED_CHECK))
-    mu = cloud.weights @ cloud.points
-    se = float(np.linalg.norm(cloud.points.std(axis=0, ddof=1))) / math.sqrt(cloud.count)
-    if float(np.linalg.norm(mu)) > max(4.0 * se, 0.01 * diam):
-        raise DegenerateBodyError(
-            f"concentric scaling requires an origin-centered body; "
-            f"estimated barycenter norm {float(np.linalg.norm(mu)):.3e}"
-        )
 
 
 def relative_entropy_uniform(K: Domain, B: Domain, *, m: int = 10_000, seed: int = 0) -> float:

@@ -65,15 +65,6 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def meta(self) -> dict:
-        return {
-            "count": self.count,
-            "dim": self.dim,
-            "seed": int(self.seed),
-            "sampler": self.sampler,
-            "body_fingerprint": self.body_fingerprint,
-        }
-
 
 def sample_uniform(body: Domain, m: int, seed: int) -> PointCloud:
     """Draw m uniform points; exact sampler when one exists, else hit-and-run.

@@ -243,6 +243,35 @@ def test_malformed_body_param_rejected(tmp_path, capsys):
     assert "$.params.body" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [2.5, True], ids=["fraction", "bool"])
+def test_non_integer_body_dimension_rejected(tmp_path, capsys, dim):
+    # the dimension was truncated, and the 2-D ball's report exited 0
+    manifest = {"command": "concentration", "params": {"body": {"variant": "ball", "radius": 1, "dim": dim}}}
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert "$.params.body" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_scale_flag_rejected(capsys, value):
+    # inf made every check vacuous (exit 0), nan reported false violations
+    assert cli.main(["dirichlet-sharpness", "--tolerance-scale", value]) == 2
+    assert "$.tolerance_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest,path",
+    [
+        ({"command": "dirichlet-sharpness", "tolerance_scale": math.nan}, "$.tolerance_scale"),
+        ({"command": "tlsi-verify", "params": {"ps": [math.inf]}}, "$.params.ps[0]"),
+    ],
+    ids=["tolerance_scale", "ps"],
+)
+def test_non_finite_manifest_number_rejected(tmp_path, capsys, manifest, path):
+    # json.dumps writes NaN and Infinity, and json.loads reads them back
+    assert cli.main(["--manifest", _write(tmp_path, manifest)]) == 2
+    assert path in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["wasserstein", "tci-bound", "lemma1-audit"])
 def test_sample_count_over_the_exact_cap_rejected(tmp_path, capsys, command):
     manifest = {"command": command, "params": {"m": 5000}}

@@ -68,9 +68,9 @@ def test_volume_unknown_method_rejected():
 
 def test_support_functions():
     u = np.array([3.0, 4.0])
-    assert geometry.support(Ball(2.0, 2), u) == pytest.approx(10.0)
-    assert geometry.support(Cube(2.0, 2), u) == pytest.approx(7.0)
-    assert geometry.support(L1Ball(2.0, 2), u) == pytest.approx(8.0)
+    assert Ball(2.0, 2).support(u) == pytest.approx(10.0)
+    assert Cube(2.0, 2).support(u) == pytest.approx(7.0)
+    assert L1Ball(2.0, 2).support(u) == pytest.approx(8.0)
 
 
 def test_membership_and_bounding_box():
@@ -99,6 +99,20 @@ def test_hpolytope_unbounded_rejected():
 def test_hpolytope_empty_rejected():
     with pytest.raises(DegenerateBodyError):
         HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-2.0, 1.0]))
+
+
+@pytest.mark.parametrize("cls", [Ball, Cube, L1Ball])
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+def test_norm_ball_refuses_a_non_integer_dimension(cls, dim):
+    # int() made 2.5 a 2-D body and True a 1-D one
+    with pytest.raises(DegenerateBodyError, match="dimension must be an integer"):
+        cls(1.0, dim)
+
+
+@pytest.mark.parametrize("cls", [Ball, Cube, L1Ball])
+def test_norm_ball_takes_a_numpy_integer_dimension(cls):
+    body = cls(1.0, np.int64(3))
+    assert body.dim == 3 and type(body.dim) is int
 
 
 @pytest.mark.parametrize("half", [5e-12, 1e6])

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from convexineq import (
-    AffineMap,
     Ball,
     ContainmentError,
     Cube,
-    DegenerateBodyError,
-    DimensionMismatchError,
     SamplingError,
     geometry,
     isotropy,
@@ -81,60 +78,6 @@ def test_isotropic_position_normalizes():
     # covariance should be close to L^2 I with L near 1/sqrt(12)
     assert abs(cov[0, 0] / cov[1, 1] - 1.0) <= 0.05
     assert abs(cov[0, 1]) <= 0.05 * cov[0, 0]
-
-
-def test_inscribe_scale_closed_forms(monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("closed-form pairs must not sample")
-
-    monkeypatch.setattr(isotropy, "sample_uniform", no_sampling)
-    # unit ball inside the side-2 cube fits exactly
-    assert isotropy.inscribe_scale(Cube(2.0, 2), Ball(1.0, 2)) == pytest.approx(1.0)
-    # cube of side 2 inside a ball needs radius sqrt(n)
-    assert isotropy.inscribe_scale(Ball(math.sqrt(2.0), 2), Cube(2.0, 2)) == pytest.approx(1.0)
-    # cross-polytope vertices at radius 1 fit a unit ball
-    assert isotropy.inscribe_scale(Ball(1.0, 3), geometry.L1Ball(1.0, 3)) == pytest.approx(1.0)
-    # pure-scaling images keep their base's closed form: the disk of radius
-    # pi^(-1/2) fits the unit square at scale sqrt(pi) / 2
-    B = geometry.apply_affine(Cube(3.0, 2), np.eye(2) / 3.0)
-    K = geometry.apply_affine(Ball(1.0, 2), np.eye(2) / math.sqrt(math.pi))
-    assert isotropy.inscribe_scale(B, K) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
-
-
-def test_inscribe_scale_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        isotropy.inscribe_scale(Ball(1.0, 2), Ball(1.0, 3))
-
-
-def test_volume_ratio_square_over_disk():
-    # largest disk in the unit square has area pi/4
-    est = isotropy.volume_ratio(Cube(1.0, 2), Ball(1.0, 2), seed=5)
-    assert est.value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-9)
-
-
-def test_volume_ratio_disk_over_square():
-    # largest square in the unit disk has area 2
-    est = isotropy.volume_ratio(Ball(1.0, 2), Cube(1.0, 2), seed=5)
-    assert est.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-9)
-
-
-def test_volume_ratio_given_map():
-    m = AffineMap(0.5 * np.eye(2), np.zeros(2))
-    est = isotropy.volume_ratio(Ball(1.0, 2), Ball(1.0, 2), mode="given_map", map=m, seed=6)
-    # |B| / |B/2| = 4, so the ratio is 2 in dimension 2
-    assert est.value == pytest.approx(2.0, rel=1e-9)
-
-
-def test_volume_ratio_given_map_containment_witness():
-    m = AffineMap(2.0 * np.eye(2), np.zeros(2))
-    with pytest.raises(ContainmentError, match="witness"):
-        isotropy.volume_ratio(Ball(1.0, 2), Ball(1.0, 2), mode="given_map", map=m, seed=6)
-
-
-def test_volume_ratio_rejects_off_center_body():
-    shifted = geometry.apply_affine(Ball(1.0, 2), np.eye(2), [5.0, 0.0])
-    with pytest.raises(DegenerateBodyError):
-        isotropy.volume_ratio(Cube(20.0, 2), shifted, seed=7)
 
 
 def test_relative_entropy_nested_balls():

@@ -41,6 +41,16 @@ def test_of_samples_rejects_fewer_than_two(k):
         Estimate.of_samples(np.ones(k))
 
 
+def test_a_nan_stderr_is_refused():
+    # NaN < 0 is False, so the mean inf of [1, inf] came back with stderr nan
+    with pytest.raises(ValueError, match="stderr"), np.errstate(invalid="ignore"):
+        Estimate.of_samples([1.0, np.inf])
+    with pytest.raises(ValueError, match="stderr"):
+        Estimate(1.0, NAN, 2)
+    # an infinite stderr stays: sqrt() gives it at 0
+    assert Estimate(0.0, 0.1, 2).sqrt().stderr == INF
+
+
 ONE_SAMPLE = {
     "estimate_mean_norm_p": lambda: sampling.estimate_mean_norm_p(Ball(1.0, 2), 1, 1, seed=0),
     "wasserstein_empirical": lambda: transport.wasserstein_empirical(Ball(1.0, 2), Ball(1.0, 2), m=8, reps=1),
