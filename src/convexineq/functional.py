@@ -72,6 +72,11 @@ from .reporting import Record, canonical_hash, jsonable
 # many thousand points are mapped fresh and page-faulted in on every call
 _TRIG_BLOCK = 2048
 
+# frequencies whose cosine and sine rows one TLSI node stack keeps: at most
+# 128 x 2 rows of 2,048 points, 4 MiB, however many distinct frequencies
+# the checked functions bring; the bundled family has 80 in two dimensions
+_TRIG_ROWS_CAP = 128
+
 _CONTAINERS = (dict, types.MappingProxyType, list, tuple, np.ndarray)
 
 
@@ -104,8 +109,10 @@ class TestFunction(Record):
     arrays, each computed once per object, cannot go stale.  The
     trigonometric kind evaluates all terms at once on a (terms x points)
     table of phases and adds its rows in term order, so every value and
-    gradient is bit for bit the one a per-term loop gives.  Nothing that
-    depends on the evaluation points is kept between calls.
+    gradient is bit for bit the one a per-term loop gives.  The function
+    keeps nothing that depends on the evaluation points between calls; the
+    trace log-Sobolev verifier hands it a memo of cosine and sine rows that
+    the domain object owns.
     """
 
     kind: str
@@ -164,9 +171,15 @@ class TestFunction(Record):
     def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(value(x), gradient(x)), bit for bit; the trigonometric kind takes
         both from one (terms x points) table of phases, cosines and sines."""
+        return self._value_and_gradient(self._pts(x))
+
+    def _value_and_gradient(self, pts: np.ndarray, rows: dict | None = None):
+        """``value_and_gradient`` at a (points, dim) array; a trigonometric
+        f takes its cosine and sine rows from the memo ``rows`` of these
+        very points (see ``_trig``), the other kinds ignore it."""
         if self.kind != "trigonometric":
-            return self.value(x), self.gradient(x)
-        return self._trig(self._pts(x), value=True, gradient=True)
+            return self.value(pts), self.gradient(pts)
+        return self._trig(pts, value=True, gradient=True, rows=rows)
 
     @functools.cached_property
     def _trig_coefficients(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -181,7 +194,7 @@ class TestFunction(Record):
             arr.setflags(write=False)
         return float(self.params.get("const", 0.0)), a, b, K
 
-    def _trig(self, pts, value: bool, gradient: bool):
+    def _trig(self, pts, value: bool, gradient: bool, rows: dict | None = None):
         """(value or None, gradient or None) of the trigonometric kind.
 
         Row j of the table is the phase pi k_j.x at every point, from one
@@ -192,19 +205,24 @@ class TestFunction(Record):
         go through in blocks of ``_TRIG_BLOCK``, so that the temporaries stay
         small however many points there are; no point's result depends on
         which block it is in.
+
+        ``rows``, if given, maps a frequency vector's bytes to its read-only
+        (cosine, sine) rows at these points, which must fit in one block:
+        ``_tlsi_nodes`` keeps one such memo per node stack, so that functions
+        sharing a frequency compute its rows once.  A missing row is computed
+        as the table's row would be, and stored while the memo holds fewer
+        than ``_TRIG_ROWS_CAP`` frequencies.
         """
         const, a, b, K = self._trig_coefficients
         n = pts.shape[0]
         val = np.full(n, const) if value else None
         grad_t = np.zeros((self.dim, n)) if gradient else None
+        if rows is not None and n > _TRIG_BLOCK:
+            raise ValueError(f"a row memo covers one block of at most {_TRIG_BLOCK} points, got {n}")
         for start in range(0, n, _TRIG_BLOCK):
             block = slice(start, start + _TRIG_BLOCK)
             x = pts[block]
-            phase = np.empty((K.shape[0], x.shape[0]))
-            for k, row in zip(K, phase):
-                np.matmul(x, k, out=row)
-            phase *= math.pi
-            cos, sin = np.cos(phase), np.sin(phase)
+            cos, sin = _cos_sin(x, K) if rows is None else _cos_sin_memo(x, K, rows)
             if value:
                 terms = a * cos
                 terms += b * sin
@@ -230,6 +248,38 @@ class TestFunction(Record):
 
     def fingerprint(self) -> str:
         return self._fingerprint
+
+
+def _phase_row(x: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """pi k.x at every point, into ``out``."""
+    np.matmul(x, k, out=out)
+    out *= math.pi
+    return out
+
+
+def _cos_sin(x: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of the (terms x points) table of phases pi K x."""
+    phase = np.empty((K.shape[0], x.shape[0]))
+    for k, row in zip(K, phase):
+        _phase_row(x, k, row)
+    return np.cos(phase), np.sin(phase)
+
+
+def _cos_sin_memo(x: np.ndarray, K: np.ndarray, rows: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``_cos_sin`` with each frequency's rows taken from, or added to, the
+    memo ``rows`` of the points x; every row rounds as the table's does."""
+    cos = np.empty((K.shape[0], x.shape[0]))
+    sin = np.empty_like(cos)
+    for j, k in enumerate(K):
+        key = k.tobytes()
+        hit = rows.get(key)
+        if hit is None:
+            phase = _phase_row(x, k, np.empty(x.shape[0]))
+            hit = (geometry._read_only(np.cos(phase)), geometry._read_only(np.sin(phase)))
+            if len(rows) < _TRIG_ROWS_CAP:
+                rows[key] = hit
+        cos[j], sin[j] = hit
+    return cos, sin
 
 
 def polynomial(terms, dim: int, label: str = "") -> TestFunction:
@@ -287,9 +337,10 @@ def shift_positive(values: np.ndarray, margin: float = 0.1) -> np.ndarray:
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
+    """v log v for v >= 0, with 0 log 0 = +0."""
     out = np.zeros_like(v)
-    pos = v > 0
-    out[pos] = v[pos] * np.log(v[pos])
+    np.log(v, out=out, where=v > 0)
+    out *= v
     return out
 
 
@@ -418,29 +469,52 @@ def tlsi_coefficients(p: float, n: int, volume: float) -> tuple[float, float, fl
     return q, grad_coeff, bdry_coeff
 
 
+def _tlsi_stack(domain: Domain, resolutions: tuple[int, ...], interior, boundary) -> tuple:
+    """(stacked nodes, cut indices, row memo or None) of the interior and
+    boundary meshes at ``resolutions``, built once per domain object.
+
+    The stack is read-only.  The row memo maps a frequency vector's bytes
+    to its cosine and sine rows on the stack (see ``TestFunction._trig``);
+    a stack keeps one only if it fits in one ``_TRIG_BLOCK`` block, since a
+    larger stack's rows cost megabytes for the few checks that share them.
+    """
+    key = ("tlsi_stack", resolutions)
+    hit = domain._meshes.get(key)
+    if hit is None:
+        parts = [nodes for nodes, _ in interior] + [mesh.nodes for mesh in boundary]
+        stack = geometry._read_only(np.concatenate(parts))
+        cuts = np.cumsum([part.shape[0] for part in parts])[:-1]
+        rows = {} if stack.shape[0] <= _TRIG_BLOCK else None
+        hit = domain._meshes[key] = (stack, cuts, rows)
+    return hit
+
+
 def _tlsi_nodes(domain: Domain, f: TestFunction, resolutions: tuple[int, ...]) -> tuple:
     """The p-independent node table of f on the domain: for each resolution,
     (interior weights, |f| and |grad f| at the interior nodes, boundary
     weights, |f| at the boundary nodes), all read-only.
 
-    f and its gradient come from one ``value_and_gradient`` call on the
-    stacked nodes of every mesh.  The domain's ``_meshes`` cache keeps the
-    last table under one fixed key, for the function object itself (compared
-    with ``is``, not by fingerprint) and these resolutions, so checks of one
-    f at several exponents evaluate it once.  The meshes are requested on
-    every call, so the quadrature a check asks for does not depend on what
-    earlier checks left in the memo.
+    f and its gradient come from one evaluation on the domain's stack of
+    every mesh's nodes (see ``_tlsi_stack``).  A trigonometric f takes each
+    term's cosine and sine rows from the stack's memo, if it has one (at
+    most ``_TRIG_BLOCK`` nodes), so functions sharing a frequency on one
+    domain object compute them once; past ``_TRIG_ROWS_CAP`` frequencies,
+    rows are computed and not stored.  The domain's ``_meshes`` cache also
+    keeps the last table under one fixed key, for the function object
+    itself (compared with ``is``, not by fingerprint) and these
+    resolutions, so checks of one f at several exponents evaluate it once.
+    The meshes are requested on every call, so the quadrature a check asks
+    for does not depend on what earlier checks left in the memo.
     """
     interior = [geometry.interior_quadrature(domain, r) for r in resolutions]
     boundary = [geometry.boundary_quadrature(domain, r) for r in resolutions]
     hit = domain._meshes.get("tlsi_nodes")
     if hit is not None and hit[0] is f and hit[1] == resolutions:
         return hit[2]
-    parts = [nodes for nodes, _ in interior] + [mesh.nodes for mesh in boundary]
-    values, grads = f.value_and_gradient(np.concatenate(parts))
+    stack, cuts, rows = _tlsi_stack(domain, resolutions, interior, boundary)
+    values, grads = f._value_and_gradient(stack, rows)
     f_abs = geometry._read_only(np.abs(values))
     grad_abs = geometry._read_only(np.linalg.norm(grads, axis=1))
-    cuts = np.cumsum([part.shape[0] for part in parts])[:-1]
     f_parts = np.split(f_abs, cuts)
     grad_parts = np.split(grad_abs, cuts)
     k = len(resolutions)
@@ -493,7 +567,11 @@ def tlsi_verify(
     and the resolutions; checking the same f at another exponent reuses it,
     and any other function or resolution replaces it.  The second step raises to the
     power p and forms the terms, coefficients, tolerance and verdict on
-    every call.  The meshes are the domain's cached ones.
+    every call.  The meshes, and their stack, are the domain's cached ones.
+    A stack of at most ``_TRIG_BLOCK`` (2,048) nodes also keeps the cosine
+    and sine rows of up to ``_TRIG_ROWS_CAP`` (128) frequencies, which every
+    trigonometric f checked on the domain object shares; the report is bit
+    for bit the one a fresh domain object gives.
 
     The tolerance is calibrated once per instance at a fixed coarse anchor:
     the term drift between resolutions 16 and 8 (plus a small relative

@@ -210,7 +210,9 @@ class _Region:
 
     @functools.cached_property
     def _meshes(self) -> dict:
-        """Quadrature meshes already built, keyed by (kind, resolution), and
+        """Quadrature meshes already built, keyed by (kind, resolution);
+        under ``("tlsi_stack", resolutions)`` the stacked nodes of those
+        meshes with their memo of cosine and sine rows by frequency; and
         under ``"tlsi_nodes"`` the one (function, resolutions, node table)
         that ``functional.tlsi_verify`` keeps for the last function it
         checked on this object."""
@@ -550,7 +552,8 @@ class L1Ball(_NormBall):
             x = e[:, :n] / e.sum(axis=1, keepdims=True)
             del e
             x *= r
-            return np.negative(x, out=x, where=g.random((count, n)) < 0.5)
+            # the sign of u - 0.5 is negative exactly where u < 0.5
+            return np.copysign(x, g.random((count, n)) - 0.5, out=x)
 
         return make
 

@@ -354,14 +354,12 @@ def test_tlsi_resolution_floor_and_dim_check():
 
 
 class _PerTermFunction(functional.TestFunction):
-    """A trigonometric test function evaluated by the per-term loop; its
-    fields, and so its fingerprint, are those of the function it copies."""
+    """A trigonometric test function evaluated by the per-term loop, with no
+    row memo; its fields, and so its fingerprint, are those of the function
+    it copies."""
 
-    def value(self, x):
-        return _per_term_reference(self, self._pts(x))[0]
-
-    def value_and_gradient(self, x):
-        return _per_term_reference(self, self._pts(x))
+    def _trig(self, pts, value, gradient, rows=None):
+        return _per_term_reference(self, pts)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -383,9 +381,9 @@ def test_tlsi_memo_is_keyed_by_function_object():
     evaluated = []
 
     class Twin(functional.TestFunction):
-        def value_and_gradient(self, x):
-            evaluated.append(len(x))
-            return super().value_and_gradient(x)
+        def _value_and_gradient(self, pts, rows=None):
+            evaluated.append(len(pts))
+            return super()._value_and_gradient(pts, rows)
 
     dom = corpora.domain_set()["square"]
     f = corpora.trig_function(2, 7)
@@ -464,8 +462,94 @@ def test_tlsi_memo_holds_one_table():
     for f in fs:
         functional.tlsi_verify(dom, f, 2.0, 24)
     meshes = {(kind, r) for kind in ("interior", "boundary") for r in (24, 16, 8)}
-    assert set(dom._meshes) == meshes | {"tlsi_nodes"}
+    assert set(dom._meshes) == meshes | {("tlsi_stack", (24, 16, 8)), "tlsi_nodes"}
     assert dom._meshes["tlsi_nodes"][0] is fs[-1]
+
+
+class _Unmemoized(functional.TestFunction):
+    """A test function that evaluates without the row memo, as
+    ``value_and_gradient`` does; same fields and fingerprint."""
+
+    def _value_and_gradient(self, pts, rows=None):
+        return super()._value_and_gradient(pts, None)
+
+
+def _unmemoized(f):
+    return _Unmemoized(f.kind, f.dim, f.params, f.label)
+
+
+def _row_memo(dom, resolutions):
+    return dom._meshes[("tlsi_stack", resolutions)][2]
+
+
+def test_tlsi_row_memo_reports_equal_unmemoized_fresh_domain():
+    """Functions taking turns over the four corpus domains, as the
+    quadrature workload checks them, at every resolution set and exponent:
+    each report equals, bit for bit, the one a fresh domain object gives
+    for the same function evaluated without the memo."""
+    doms = corpora.domain_set()
+    ps = (1.0, 1.5, 2.0, 3.0)
+    for i in range(8):
+        fresh = corpora.domain_set()
+        for name, dom in doms.items():
+            f = corpora.trig_function(dom.dim, i)
+            ref = _unmemoized(f)
+            for r in (16, 24, 48):
+                for p in ps:
+                    expected = functional.tlsi_verify(fresh[name], ref, p, r)
+                    assert functional.tlsi_verify(dom, f, p, r) == expected
+    for name, dom in doms.items():
+        for resolutions in ((16, 8), (24, 16, 8), (48, 16, 8)):
+            stack, _, rows = dom._meshes[("tlsi_stack", resolutions)]
+            assert (rows is None) == (stack.shape[0] > functional._TRIG_BLOCK)
+            if rows is not None:
+                assert rows, (name, resolutions)
+            assert not _row_memo(fresh[name], resolutions)
+
+
+def test_tlsi_row_memo_holds_each_corpus_frequency_once():
+    """The 600 terms of the 100 two-dimensional corpus functions have 80
+    distinct frequencies, all of {-4..4}^2 but 0; the 2,912-node stack of
+    the halving resolutions keeps no memo."""
+    dom = Cube(1.0, 2)
+    for i in range(corpora.TRIG_SEEDS):
+        f = corpora.trig_function(2, i)
+        functional.tlsi_verify(dom, f, 2.0, 24)
+        functional.tlsi_verify(dom, f, 2.0, 48)
+    rows = _row_memo(dom, (24, 16, 8))
+    assert len(rows) == 80
+    freqs = {tuple(np.frombuffer(key)) for key in rows}
+    assert freqs == {(a, b) for a in range(-4, 5) for b in range(-4, 5)} - {(0, 0)}
+    assert dom._meshes[("tlsi_stack", (48, 16, 8))][0].shape[0] == 2912
+    assert _row_memo(dom, (48, 16, 8)) is None
+
+
+def test_tlsi_row_memo_stops_at_the_cap():
+    """Functions with distinct non-integer frequencies fill the memo up to
+    the cap and no further; rows past it are computed, not stored, and
+    every report is unchanged."""
+    dom = Cube(1.0, 2)
+    ref_dom = Cube(1.0, 2)
+    g = np.random.default_rng(5)
+    for i in range(200):
+        terms = [(float(a), float(b), tuple(k)) for a, b, k in zip(
+            g.standard_normal(3), g.standard_normal(3), (i + 1) * 0.01 + g.random((3, 2)) * 4.0
+        )]
+        f = functional.trigonometric(0.5, terms, 2)
+        for p in (1.0, 2.0):
+            expected = functional.tlsi_verify(ref_dom, _unmemoized(f), p, 24)
+            assert functional.tlsi_verify(dom, f, p, 24) == expected
+    assert len(_row_memo(dom, (24, 16, 8))) == functional._TRIG_ROWS_CAP == 128
+    assert not _row_memo(ref_dom, (24, 16, 8))
+
+
+def test_xlogx_matches_masked_product():
+    v = np.array([0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf, 0.0])
+    expected = np.zeros_like(v)
+    pos = v > 0
+    expected[pos] = v[pos] * np.log(v[pos])
+    got = functional._xlogx(v)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_tlsi_requests_the_same_meshes_with_a_warm_memo(monkeypatch):
